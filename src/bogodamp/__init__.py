@@ -8,14 +8,11 @@ the damping rates themselves by quadrature, asymptotics and Monte Carlo.
 """
 
 from .params import GasParameters, RegimeDiagnostics, diagnostics, make_params
-from .errors import (AssumptionError, BogodampError, BracketError,
-                     DivergenceError, DomainError, ExtrapolationError,
-                     IntegrandError, NearSingularRootError, ParameterError,
-                     RangeError, SingularityError, SingularMeasureError,
-                     SupportError)
-from .numerics import (QuadratureSpec, QuadResult, RootBracket,
-                       find_root_bracketed, integrate_adaptive,
-                       scan_sign_changes)
+from .errors import (AssumptionError, BogodampError, DivergenceError,
+                     DomainError, ExtrapolationError, IntegrandError,
+                     NearSingularRootError, ParameterError, RangeError,
+                     SingularityError, SingularMeasureError, SupportError)
+from .numerics import QuadratureSpec, QuadResult, integrate_adaptive
 from .potential import (AssumptionCheck, AssumptionReport, FlatCutoffPotential,
                         GaussianPotential, PotentialModel, TabulatedPotential,
                         evaluate_vhat, load_tabulated, validate_assumptions)
@@ -42,9 +39,8 @@ __all__ = [
     "BogodampError", "ParameterError", "DomainError", "SingularityError",
     "RangeError", "ExtrapolationError", "SingularMeasureError",
     "AssumptionError", "DivergenceError", "SupportError",
-    "NearSingularRootError", "IntegrandError", "BracketError",
-    "QuadratureSpec", "QuadResult", "RootBracket", "integrate_adaptive",
-    "find_root_bracketed", "scan_sign_changes",
+    "NearSingularRootError", "IntegrandError",
+    "QuadratureSpec", "QuadResult", "integrate_adaptive",
     "PotentialModel", "GaussianPotential", "FlatCutoffPotential",
     "TabulatedPotential", "load_tabulated", "evaluate_vhat",
     "AssumptionCheck", "AssumptionReport", "validate_assumptions",

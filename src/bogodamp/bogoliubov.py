@@ -9,13 +9,18 @@ For potentials whose profile dips (maxon and roton style tables) the
 dispersion is no longer monotone, so inversion from energy to momentum has
 to be organised by branch.  detect_branches splits [0, p_max] at the
 stationary points of omega and each DispersionBranch carries a sampled
-inverse used to bracket a final polish by Brent's method.
+inverse used to bracket a final polish by Brent's method.  branch_table
+picks p_max from the requested energy alone, so a table, and every rate
+computed on it, is a pure function of its arguments.
+
+energy_point is the one kernel for the per-energy quantities of the
+energy space rate integrals: the regularized coefficients, nu_x and the
+measure factor f.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -124,14 +129,6 @@ def bogo_coeffs(params: GasParameters, model: PotentialModel, k: float):
     c = math.sqrt((E + w) / (2.0 * w))
     s = abs(nk) / math.sqrt(2.0 * w * (E + w))
     return s, c
-
-
-def _sk_quartic(params, model, k):
-    """s_k via the quartic root expression, for cross checks only."""
-    nk = params.nu * model.vhat(k) / model.vhat0
-    E = 0.5 * k * k + nk
-    ratio = nk / E
-    return math.sqrt(0.5 * (1.0 / math.sqrt(1.0 - ratio * ratio) - 1.0))
 
 
 def occupation_rho(params: GasParameters, omega: float) -> float:
@@ -280,52 +277,63 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
     return float(optimize.brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200))
 
 
-# ---------------------------------------------------------------------------
-# branch cache keyed by the identity of (params, model); both are immutable,
-# and holding strong references keeps the ids valid while cached.  The lock
-# serialises lookup and growth: a grown table re-samples its node grid, so
-# concurrent growth would hand two callers differently bracketed inverses.
-
-_CACHE: OrderedDict = OrderedDict()
-_CACHE_MAX = 8
-_CACHE_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=8)
+def _table(params, model, p_max):
+    return detect_branches(params, model, p_max)
 
 
 def branch_table(params: GasParameters, model: PotentialModel,
                  energy: float) -> list[DispersionBranch]:
-    """Branches of the dispersion covering energies up to at least `energy`."""
+    """Branches of the dispersion covering energies up to at least `energy`.
+
+    A pure function of its arguments: the table spans [0, p_max] with p_max
+    the first momentum on the ladder 4 sqrt(nu) 2^n, capped at the model's
+    k_max, whose energy exceeds 1.05 energy.  Tables are memoised by value;
+    two threads that miss together build identical tables.
+    """
     if not (math.isfinite(energy) and energy >= 0):
         raise ParameterError(f"energy must be finite and >= 0, got {energy}")
-    key = (id(params), id(model))
-    with _CACHE_LOCK:
-        ent = _CACHE.get(key)
-        if ent is not None and ent[2] >= energy:
-            _CACHE.move_to_end(key)
-            return ent[4]
-
-        p_cap = getattr(model, "k_max", math.inf)
-        p_max = ent[3] if ent is not None else 4.0 * math.sqrt(params.nu)
-        p_max = min(p_max, p_cap)
-        while _omega_scalar(params, model, p_max) <= 1.05 * energy:
-            if p_max >= p_cap:
-                raise ExtrapolationError(
-                    f"tabulated potential covers energies up to "
-                    f"{_omega_scalar(params, model, p_cap):g}, need {energy:g}")
-            p_max = min(2.0 * p_max, p_cap)
-
-        branches = detect_branches(params, model, p_max)
-        cover = _omega_scalar(params, model, p_max)
-        _CACHE[key] = (params, model, cover, p_max, branches)
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
-        return branches
+    p_cap = getattr(model, "k_max", math.inf)
+    p_max = min(4.0 * math.sqrt(params.nu), p_cap)
+    while _omega_scalar(params, model, p_max) <= 1.05 * energy:
+        if p_max >= p_cap:
+            raise ExtrapolationError(
+                f"tabulated potential covers energies up to "
+                f"{_omega_scalar(params, model, p_cap):g}, need {energy:g}")
+        p_max = min(2.0 * p_max, p_cap)
+    return _table(params, model, p_max)
 
 
 def first_branch(params: GasParameters, model: PotentialModel,
                  energy: float) -> DispersionBranch:
-    """The branch rising from zero momentum, grown to cover `energy` if it can."""
+    """The branch rising from zero momentum in the table covering `energy`."""
     return branch_table(params, model, energy)[0]
+
+
+def energy_point(params: GasParameters, model: PotentialModel,
+                 branch: DispersionBranch, x: float):
+    """Regularized coefficients and measure factor at energy x on a branch.
+
+    Returns (c, s, c - s, nu_x, f) at the momentum p(x): c^2 - s^2 = 2x
+    exactly, the difference is rationalized as 2x/(c + s) so it vanishes
+    bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, and f is the measure
+    factor of measure_factor_f.
+    """
+    p = invert_dispersion(branch, x)
+    nu = params.nu
+    v0 = model.vhat0
+    nu_x = nu * (model.vhat(p) / v0)
+    E = 0.5 * p * p + nu_x
+    c = math.sqrt(E + x)
+    s = abs(nu_x) / c
+    denom = E + 0.5 * nu * p * model.dvhat(p) / v0
+    # branch boundaries are located to about 1e-8 sqrt(nu) in momentum, so
+    # a query at a stationary endpoint sees a slope of that size, not zero
+    if abs(denom) < 1e-7 * nu:
+        raise SingularMeasureError(
+            f"measure factor singular at u = {x} (p = {p}): dispersion "
+            "slope vanishes")
+    return c, s, 2.0 * x / (c + s), nu_x, 1.0 / denom
 
 
 def measure_factor_f(params: GasParameters, model: PotentialModel,
@@ -336,17 +344,7 @@ def measure_factor_f(params: GasParameters, model: PotentialModel,
     on decreasing ones; at a stationary endpoint the measure is singular
     and the evaluation raises.
     """
-    p = invert_dispersion(branch, u)
-    nu, v0 = params.nu, model.vhat0
-    denom = (0.5 * p * p + nu * model.vhat(p) / v0
-             + 0.5 * nu * p * model.dvhat(p) / v0)
-    # branch boundaries are located to about 1e-8 sqrt(nu) in momentum, so
-    # a query at a stationary endpoint sees a slope of that size, not zero
-    if abs(denom) < 1e-7 * nu:
-        raise SingularMeasureError(
-            f"measure factor singular at u = {u} (p = {p}): dispersion "
-            "slope vanishes")
-    return 1.0 / denom
+    return energy_point(params, model, branch, u)[4]
 
 
 def ground_state_energy_density(params: GasParameters, model: PotentialModel,

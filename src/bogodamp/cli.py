@@ -10,7 +10,6 @@ validation failure, 3 numerical failure at one or more points.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -179,14 +178,7 @@ def _fmt_cell(x):
     return repr(float(x))
 
 
-def _emit(rows, fmt, output):
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(row[k]) for k in ROW_KEYS))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+def _write(text, output):
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -194,16 +186,21 @@ def _emit(rows, fmt, output):
             fh.write(text)
 
 
+def _render(rows, cols, fmt):
+    """Rows as CSV with header `cols`, or as a JSON list of objects."""
+    if fmt != "csv":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = [",".join(cols)]
+    lines.extend(",".join(_fmt_cell(r[c]) for c in cols) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _point(params, model, k, method, rates, quad, ns):
     """One sweep point.  Returns (row, failed).
 
-    Works on private copies of params and model: the dispersion branch
-    cache is keyed by object identity and re-brackets its inverses when it
-    grows, so sharing state across points would let task order (and with
-    --jobs > 1, thread timing) move last bits of the output.
+    Every rate is a pure function of (params, model, k, quad), so points
+    share params and model and the output does not depend on task order.
     """
-    params = copy.deepcopy(params)
-    model = copy.deepcopy(model)
     nu = params.nu
     kdim = k / math.sqrt(nu)
     bn = params.beta * nu
@@ -334,7 +331,7 @@ def _cmd_sweep(ns, parser):
             results = [f.result() for f in futs]
     rows = [r for (r, _f) in results]
     failed = any(f for (_r, f) in results)
-    _emit(rows, ns.format or "csv", ns.output)
+    _write(_render(rows, ROW_KEYS, ns.format or "csv"), ns.output)
     return 3 if failed else 0
 
 
@@ -362,11 +359,7 @@ def _cmd_validate(ns, parser):
         out = json.dumps(payload, indent=2) + "\n"
     else:
         out = report.text() + "\n"
-    if ns.output in (None, "-"):
-        sys.stdout.write(out)
-    else:
-        with open(ns.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
+    _write(out, ns.output)
     return 0 if report.passed else 2
 
 
@@ -382,18 +375,8 @@ def _cmd_specfun(ns, parser):
             "G3": landau_Gk(3, th),
             "G4": landau_Gk(4, th),
         })
-    if (ns.format or "csv") == "csv":
-        lines = ["theta,I,G2,G3,G4"]
-        for r in rows:
-            lines.append(",".join(repr(r[c]) for c in ("theta", "I", "G2", "G3", "G4")))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    if ns.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(ns.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write(_render(rows, ("theta", "I", "G2", "G3", "G4"), ns.format or "csv"),
+           ns.output)
     return 0
 
 
@@ -432,19 +415,7 @@ def _cmd_oracle(ns, parser):
                          "z": "error"})
             failed = True
     cols = ("process", "mc", "mc_stderr", "quadrature", "quadrature_err", "z")
-    if (ns.format or "csv") == "csv":
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_fmt_cell(r[c]) if c != "process" else r[c]
-                                  for c in cols))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    if ns.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(ns.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write(_render(rows, cols, ns.format or "csv"), ns.output)
     return 3 if failed else 0
 
 

@@ -29,16 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import (DispersionBranch, branch_table, first_branch,
+from .bogoliubov import (branch_table, energy_point, first_branch,
                          invert_dispersion, omega_bg, omega_bg_prime,
                          _omega_scalar)
-from .errors import (DomainError, NearSingularRootError, ParameterError,
-                     SingularMeasureError)
+from .errors import DomainError, NearSingularRootError, ParameterError
 from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
 from .potential import PotentialModel
 from .specfun import beliaev_I, landau_Gk, zeta
-from .vertices import _cs_arrays, _j_arrays, vertex_j
+from .vertices import F_terms, _j_arrays, vertex_j
 
 __all__ = [
     "DeltaSupport",
@@ -211,34 +210,7 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
                         note="" if segments else "no conservation roots")
 
 
-class _EnergyPoints:
-    """Regularized coefficients and measure factor at energies on a branch."""
-
-    __slots__ = ("params", "model", "branch", "nu", "v0")
-
-    def __init__(self, params, model, branch):
-        self.params = params
-        self.model = model
-        self.branch = branch
-        self.nu = params.nu
-        self.v0 = model.vhat0
-
-    def __call__(self, x):
-        p = invert_dispersion(self.branch, x)
-        sh = self.model.vhat(p) / self.v0
-        nu_e = self.nu * sh
-        E = 0.5 * p * p + nu_e
-        c = math.sqrt(E + x)
-        s = abs(nu_e) / c
-        d = 2.0 * x / (c + s)
-        denom = E + 0.5 * self.nu * p * self.model.dvhat(p) / self.v0
-        if abs(denom) < 1e-12 * self.nu:
-            raise SingularMeasureError(
-                f"measure factor singular at energy {x} (p = {p})")
-        return c, s, d, nu_e, 1.0 / denom
-
-
-def _empty_result(process, diag, support):
+def _empty_result(diag, support):
     return DampingResult(0.0, 0.0, "energy_quadrature", diag, support, True)
 
 
@@ -259,13 +231,12 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
     diag = diagnostics(params, k, w_k)
     support = detect_support(params, model, k, "beliaev")
     if not support.segments:
-        return _empty_result("beliaev", diag, support)
+        return _empty_result(diag, support)
     if not support.first_branch_ok:
         return reduce_delta_generic(params, model, k, "beliaev", quad)
 
     branch = first_branch(params, model, w_k)
-    ep = _EnergyPoints(params, model, branch)
-    cO, sO, dO, nO, _ = ep(w_k)
+    pO = energy_point(params, model, branch, w_k)
     beta = params.beta
 
     def gy(y):
@@ -273,12 +244,11 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
         w = 0.5 * (w_k - y)
         if u <= 0.0 or w <= 0.0:
             return 0.0
-        cu, su, du, nu_u, fu = ep(u)
-        cw, sw, dw, nu_w, fw = ep(w)
-        F = (-nO * dO * (cu * sw + cw * su)
-             + nu_u * du * (cO * cw + sO * sw)
-             + nu_w * dw * (cO * cu + sO * su))
-        return fu * fw * F * F * _w_beliaev(beta, u, w)
+        pu = energy_point(params, model, branch, u)
+        pw = energy_point(params, model, branch, w)
+        t1, t2, t3 = F_terms(pO, pu, pw)
+        F = t1 + t2 + t3        # left to right: the golden sweep pins it
+        return pu[4] * pw[4] * F * F * _w_beliaev(beta, u, w)
 
     if support.convex_fastpath_ok:
         pieces = [(-w_k, w_k)]
@@ -318,7 +288,7 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
     diag = diagnostics(params, k, w_k)
     support = detect_support(params, model, k, "landau")
     if not support.segments:
-        return _empty_result("landau", diag, support)
+        return _empty_result(diag, support)
     if not support.first_branch_ok:
         return reduce_delta_generic(params, model, k, "landau", quad)
 
@@ -326,22 +296,19 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
     theta = beta * w_k
     top_u = _omega_scalar(params, model, support.segments[-1][1])
     branch = first_branch(params, model, top_u + w_k)
-    ep = _EnergyPoints(params, model, branch)
-    ck, sk, dk, nk, _ = ep(w_k)
+    pk = energy_point(params, model, branch, w_k)
     pref_w = -math.expm1(-theta)
 
     def gt(t):
         if t <= 0.0:
             return 0.0
         u = t / beta
-        w = u + w_k
-        cu, su, du, nu_u, fu = ep(u)
-        cw, sw, dw, nu_w, fw = ep(w)
-        F = (-nu_w * dw * (cu * sk + ck * su)
-             + nu_u * du * (cw * ck + sw * sk)
-             + nk * dk * (cw * cu + sw * su))
+        pu = energy_point(params, model, branch, u)
+        pw = energy_point(params, model, branch, u + w_k)
+        t1, t2, t3 = F_terms(pw, pu, pk)
+        F = t1 + t2 + t3
         W = math.exp(-t) * pref_w / ((-math.expm1(-t)) * (-math.expm1(-t - theta)))
-        return F * F * fu * fw * W
+        return F * F * pu[4] * pw[4] * W
 
     val = err = 0.0
     ok = True

@@ -48,6 +48,3 @@ class NearSingularRootError(SupportError):
 class IntegrandError(BogodampError):
     """An integrand returned a non-finite value."""
 
-
-class BracketError(BogodampError, ValueError):
-    """A root bracket does not actually enclose a sign change."""

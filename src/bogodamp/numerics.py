@@ -1,4 +1,4 @@
-"""Shared 1d numerics: adaptive quadrature, tail maps, bracketed roots.
+"""Shared 1d numerics: adaptive quadrature and its tail maps.
 
 The quadrature backend is adaptive Gauss-Kronrod with interior nodes only,
 so integrands with removable endpoint behaviour are never evaluated exactly
@@ -17,18 +17,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
-from .errors import BracketError, IntegrandError, ParameterError
+from .errors import IntegrandError, ParameterError
 
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
-    "RootBracket",
     "integrate_adaptive",
-    "find_root_bracketed",
-    "scan_sign_changes",
 ]
 
 _TAIL_MAPS = ("none", "rational", "exponential")
@@ -118,89 +114,3 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
                          full_output=1)
     # a 4th element is the warning message quadpack attaches on trouble
     return QuadResult(float(out[0]), float(out[1]), len(out) < 4)
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    """Interval [lo, hi] with recorded endpoint values enclosing a root.
-
-    Degenerate brackets (lo == hi, both values 0) mark a grid point that
-    landed exactly on a zero.
-    """
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise BracketError(f"bracket endpoints must be finite: {self.lo}, {self.hi}")
-        if self.lo > self.hi:
-            raise BracketError(f"bracket is reversed: [{self.lo}, {self.hi}]")
-        if self.f_lo > 0 and self.f_hi > 0 or self.f_lo < 0 and self.f_hi < 0:
-            raise BracketError(
-                f"no sign change: f({self.lo}) = {self.f_lo}, f({self.hi}) = {self.f_hi}")
-
-
-def find_root_bracketed(f: Callable[[float], float], bracket: RootBracket,
-                        tol: float = 1e-12) -> float:
-    """Root of f inside a validated bracket, to relative accuracy tol."""
-    if not (tol > 0):
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    if bracket.lo == bracket.hi:
-        return bracket.lo
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
-    scale = max(abs(bracket.lo), abs(bracket.hi), 1.0)
-    return float(optimize.brentq(f, bracket.lo, bracket.hi,
-                                 xtol=0.125 * tol * scale,
-                                 rtol=max(9.0e-16, tol), maxiter=200))
-
-
-def _collect_brackets(xs, fs):
-    out = []
-    for i in range(len(xs) - 1):
-        flo, fhi = fs[i], fs[i + 1]
-        if flo == 0.0:
-            if i > 0:
-                out.append(RootBracket(float(xs[i]), float(xs[i]), 0.0, 0.0))
-            continue
-        if fhi == 0.0:
-            continue
-        if (flo > 0) != (fhi > 0):
-            out.append(RootBracket(float(xs[i]), float(xs[i + 1]),
-                                   float(flo), float(fhi)))
-    return out
-
-
-def scan_sign_changes(f: Callable[[float], float], a: float, b: float,
-                      n: int = 64, max_doublings: int = 12) -> list[RootBracket]:
-    """Bracket every sign change of f on [a, b].
-
-    Samples a uniform grid of n+1 points and doubles the resolution until
-    the bracket count is unchanged across two further refinements.  Exact
-    zeros at interior grid nodes come back as degenerate brackets; zeros
-    at a or b themselves are not reported.  Brackets are ascending.
-    """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ParameterError(f"bad scan interval [{a}, {b}]")
-    counts = []
-    m = n
-    brackets = []
-    for _ in range(max_doublings):
-        xs = np.linspace(a, b, m + 1)
-        fs = [f(float(x)) for x in xs]
-        for x, y in zip(xs, fs):
-            if not math.isfinite(y):
-                raise IntegrandError(f"scan function returned {y!r} at x = {x!r}")
-        brackets = _collect_brackets(xs, fs)
-        counts.append(len(brackets))
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            break
-        m *= 2
-    return brackets

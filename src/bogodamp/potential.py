@@ -8,8 +8,11 @@ negative arguments never appear; callers pass magnitudes.
 
 The shape of a model (vhat normalised by its value at zero) is what enters
 the dispersion; the overall amplitude of the rates is carried separately
-by GasParameters.vhat0.  Keeping the two consistent is the caller's job,
-and the command line front end always sets vhat0 = model.vhat0.
+by GasParameters.vhat0.  Keeping the two consistent is the caller's job.
+The command line front end ties them only for the flat profile, whose
+amplitude is its --vhat0; for the other profiles --vhat0 defaults to 1
+whatever the model's own vhat0 (0.1 nu for the default Gaussian), so CLI
+rates for that model are ten times the library's with vhat0 = model.vhat0.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .bogoliubov import bogo_coeffs, first_branch, invert_dispersion
+from .bogoliubov import bogo_coeffs, energy_point, first_branch
 from .errors import DomainError, RangeError, SingularityError
 from .params import GasParameters
 from .potential import PotentialModel
@@ -121,19 +121,17 @@ def eff_U(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
 # energy space form
 
 
-def _reg_point(params, model, branch, x):
-    """Regularized coefficients at energy x on the first branch.
+def F_terms(O, a, b):
+    """The three terms of F from energy_point tuples at omega, u and w.
 
-    Returns (c, s, c - s, nu_e) with c^2 - s^2 = 2x exactly; the
-    difference is rationalized as 2x/(c + s) so it vanishes bit for bit
-    at x = 0.
+    F(omega; u, w) is their sum; callers choose the summation order.
     """
-    p = invert_dispersion(branch, x)
-    nu_e = params.nu * model.vhat(p) / model.vhat0
-    E = 0.5 * p * p + nu_e
-    c = math.sqrt(E + x)
-    s = abs(nu_e) / c
-    return c, s, 2.0 * x / (c + s), nu_e
+    cO, sO, dO, nO, _ = O
+    ca, sa, da, na, _ = a
+    cb, sb, db, nb, _ = b
+    return (-nO * dO * (ca * sb + cb * sa),
+            na * da * (cO * cb + sO * sb),
+            nb * db * (cO * ca + sO * sa))
 
 
 def regularized_F(params: GasParameters, model: PotentialModel,
@@ -143,7 +141,9 @@ def regularized_F(params: GasParameters, model: PotentialModel,
     Finite for all energies >= 0 inside the branch range, symmetric in
     (u, w) exactly as computed, and exactly zero on the lines
     (u, w) = (omega, 0) and (0, omega).  On shell (omega = u + w) it
-    approaches 3 u w (u + w)/sqrt(nu) as the energies go to zero.
+    approaches 3 u w (u + w)/sqrt(nu) as the energies go to zero.  An
+    energy at a stationary top of the branch raises SingularMeasureError
+    from energy_point, which also evaluates the measure factor there.
     """
     vals = {}
     for name, val in (("omega", omega), ("u", u), ("w", w)):
@@ -158,12 +158,10 @@ def regularized_F(params: GasParameters, model: PotentialModel,
         raise RangeError(
             f"energy {need} beyond the first branch, which tops out at "
             f"{branch.omega_max}")
-    cO, sO, dO, nO = _reg_point(params, model, branch, omega)
-    cu, su, du, nu_u = _reg_point(params, model, branch, u)
-    cw, sw, dw, nu_w = _reg_point(params, model, branch, w)
-    t1 = -nO * dO * (cu * sw + cw * su)
-    t2 = nu_u * du * (cO * cw + sO * sw)
-    t3 = nu_w * dw * (cO * cu + sO * su)
+    t1, t2, t3 = F_terms(energy_point(params, model, branch, omega),
+                         energy_point(params, model, branch, u),
+                         energy_point(params, model, branch, w))
+    # t1 + (t2 + t3) keeps F exactly symmetric under swapping u and w
     return t1 + (t2 + t3)
 
 

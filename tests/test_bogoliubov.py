@@ -176,10 +176,15 @@ def test_invert_out_of_range():
 
 def test_branch_table_grows_to_cover_energy():
     params, model = gaussian_setup(beta_nu=10.0)
+    before = branch_table(params, model, 10.0)
     br = first_branch(params, model, 50.0)
     assert br.omega_max >= 50.0
-    again = branch_table(params, model, 10.0)
-    assert again[0].omega_max >= 50.0          # cache keeps the wider table
+    after = branch_table(params, model, 10.0)
+    # the table is a pure function of its arguments: no wider table leaks back
+    assert len(after) == len(before)
+    for b, a in zip(before, after):
+        assert np.array_equal(a._asc_p, b._asc_p)
+        assert np.array_equal(a._asc_w, b._asc_w)
 
 
 def test_measure_factor_flat():

@@ -71,6 +71,19 @@ def test_jobs_do_not_change_output(capsys):
     assert out1 == out4
 
 
+def test_sweep_row_equals_single_rate(capsys):
+    # at beta*nu = 2 the Landau rate at 0.05 needs a wider branch table
+    # than the Beliaev rate at 0.3 that follows it; sharing params and
+    # model across points must not leak that table
+    rc, sweep = run(capsys, "sweep", "--k", "0.05,0.3", "--beta-nu", "2",
+                    "--rates", "total")
+    assert rc == 0
+    rc, rate = run(capsys, "rate", "--k", "0.3", "--beta-nu", "2",
+                   "--rates", "total")
+    assert rc == 0
+    assert sweep.split("\n")[2] == rate.split("\n")[1]
+
+
 def test_json_round_trip(capsys):
     rc, out = run(capsys, "rate", "--k", "0.3", "--beta-nu", "10",
                   "--format", "json")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bogodamp.bogoliubov import first_branch
 from bogodamp.damping import (DampingResult, detect_support, flat_highT_kernel,
                               flat_highT_kernel_integral,
                               gamma_beliaev_asymptotic,
@@ -305,3 +306,18 @@ def test_landau_quadrature_near_full_law():
     quad = gamma_landau_quadrature(params, model, 0.005)
     law = gamma_landau_asymptotic(params, model, 0.005, "full")
     assert quad.value == pytest.approx(law, rel=0.1)
+
+
+# --------------------------------------------------------------------------
+# purity: a rate depends only on its arguments
+
+
+@pytest.mark.parametrize("kd", [0.05, 0.3, 1.0])
+def test_rates_do_not_depend_on_earlier_calls(kd):
+    fresh = gaussian_setup(beta_nu=10.0)
+    primed = gaussian_setup(beta_nu=10.0)
+    first_branch(*primed, 50.0)
+    for rate in (gamma_beliaev_quadrature, gamma_landau_quadrature):
+        a = rate(*fresh, kd)
+        b = rate(*primed, kd)
+        assert (a.value, a.abs_error) == (b.value, b.abs_error)

@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
-from bogodamp.errors import BracketError, IntegrandError, ParameterError
-from bogodamp.numerics import (QuadratureSpec, RootBracket, find_root_bracketed,
-                               integrate_adaptive, scan_sign_changes)
+from bogodamp.errors import ParameterError
+from bogodamp.numerics import QuadratureSpec, integrate_adaptive
 
 
 def test_gamma5_semi_infinite_rational_map():
@@ -42,51 +40,3 @@ def test_spec_validation():
         QuadratureSpec(tail_scale=0.0)
     with pytest.raises(ParameterError):
         QuadratureSpec(max_subdivisions=5)
-
-
-def test_bracket_rejects_no_sign_change():
-    with pytest.raises(BracketError):
-        RootBracket(0.0, 1.0, 1.0, 2.0)
-    with pytest.raises(BracketError):
-        RootBracket(1.0, 0.0, -1.0, 1.0)
-
-
-def test_root_simple():
-    br = RootBracket(1.0, 2.0, math.cos(1.0), math.cos(2.0))
-    x = find_root_bracketed(math.cos, br, tol=1e-14)
-    assert abs(x - 0.5 * math.pi) < 1e-12
-
-
-def test_root_endpoint_zero_shortcut():
-    br = RootBracket(0.0, 1.0, 0.0, 1.0)
-    assert find_root_bracketed(lambda x: x, br) == 0.0
-
-
-def test_scan_sin_three_interior_roots():
-    brs = scan_sign_changes(math.sin, 0.0, 10.0, n=64)
-    assert len(brs) == 3
-    roots = [find_root_bracketed(math.sin, b) for b in brs]
-    for got, want in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
-        assert abs(got - want) < 1e-10
-
-
-def test_scan_degenerate_interior_zero():
-    # grid point lands exactly on the zero of x -> x - 0.5 when n = 2
-    brs = scan_sign_changes(lambda x: x - 0.5, 0.0, 1.0, n=2)
-    assert len(brs) == 1
-    b = brs[0]
-    assert b.lo == b.hi == 0.5
-
-
-def test_scan_rejects_nan():
-    with pytest.raises(IntegrandError):
-        scan_sign_changes(lambda x: float("nan"), 0.0, 1.0, n=4)
-
-
-def test_scan_monotone_has_single_bracket():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        c = float(rng.uniform(0.1, 0.9))
-        brs = scan_sign_changes(lambda x, c=c: x - c, 0.0, 1.0, n=8)
-        assert len(brs) == 1
-        assert brs[0].lo <= c <= brs[0].hi
