@@ -78,20 +78,47 @@ def omega_bg(params: GasParameters, model: PotentialModel, k):
     return np.sqrt(rad)
 
 
+def _omega_prime_scalar(params, model, k):
+    """Group velocity at one momentum, in the array path's operation order."""
+    nu = params.nu
+    if k == 0.0:
+        return math.sqrt(nu)
+    v0 = model.vhat0
+    vh = model.vhat(k)
+    dvh = model.dvhat(k)
+    npk = k * k / (2.0 * nu) + vh / v0 + k * dvh / (2.0 * v0)
+    rad = k * k * (0.25 * k * k + nu * vh / v0)
+    if rad < 0:
+        raise AssumptionError("dispersion radicand negative inside slope evaluation")
+    w = math.sqrt(rad)
+    if w == 0.0:
+        raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
+    return nu * k / w * npk
+
+
 def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
     """Group velocity d omega / dk.
 
     Equal to (nu k / omega) * NP(k) with the slope function
     NP(k) = k^2/(2 nu) + vhat(k)/vhat0 + k vhat'(k)/(2 vhat0); the k -> 0
-    limit sqrt(nu) is taken explicitly.
+    limit sqrt(nu) is taken explicitly.  A scalar k is evaluated in plain
+    Python from the model's scalar vhat and dvhat, as omega_bg does, in
+    the array path's operation order: for the tabulated and flat cutoff
+    profiles, whose scalar and array evaluations agree bit for bit, the
+    two paths do too.  (The Gaussian's scalar profile uses math.exp and
+    can differ from its array profile in the last bit.)
     """
-    scalar = np.ndim(k) == 0
-    arr = np.atleast_1d(np.asarray(k, dtype=float))
+    arr = np.asarray(k, dtype=float)
+    if arr.ndim == 0:
+        k = float(arr)
+        if not math.isfinite(k) or k < 0:
+            raise DomainError("k must be finite and >= 0")
+        return _omega_prime_scalar(params, model, k)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise DomainError("k must be finite and >= 0")
     nu, v0 = params.nu, model.vhat0
-    vh = np.atleast_1d(np.asarray(model.vhat(arr), dtype=float))
-    dvh = np.atleast_1d(np.asarray(model.dvhat(arr), dtype=float))
+    vh = np.asarray(model.vhat(arr), dtype=float)
+    dvh = np.asarray(model.dvhat(arr), dtype=float)
     npk = arr * arr / (2.0 * nu) + vh / v0 + arr * dvh / (2.0 * v0)
     rad = arr * arr * (0.25 * arr * arr + nu * vh / v0)
     if np.any(rad < 0):
@@ -102,7 +129,7 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
         raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
     out = np.full(arr.shape, math.sqrt(nu))
     out[pos] = nu * arr[pos] / w[pos] * npk[pos]
-    return float(out[0]) if scalar else out
+    return out
 
 
 def bogo_coeffs(params: GasParameters, model: PotentialModel, k: float):

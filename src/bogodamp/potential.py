@@ -17,6 +17,7 @@ rates for that model are ten times the library's with vhat0 = model.vhat0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -182,6 +183,12 @@ class TabulatedPotential(PotentialModel):
     extrapolating.  The derivative is taken by centred finite differences
     with step max(1e-6, 1e-6 k), one sided at the grid edges, so it stays
     honest about what the table actually pins down.
+
+    Array queries go through scipy's PchipInterpolator.  Scalar queries
+    (the hot path of the momentum scan) evaluate the same piecewise
+    polynomial from its coefficients in plain Python, locating the
+    interval and summing the terms exactly as scipy's PPoly does, so
+    they are bit-identical to the array path.
     """
 
     kind = "tabulated"
@@ -203,10 +210,16 @@ class TabulatedPotential(PotentialModel):
         self.values = values
         self._interp = PchipInterpolator(grid, values, extrapolate=False)
         self.k_max = float(grid[-1])
+        self._vhat0 = float(values[0])
+        # breakpoints and per-interval coefficients (highest power first)
+        # of the interpolant, for the scalar path
+        self._knots = self._interp.x.tolist()
+        self._coef = list(zip(*self._interp.c.tolist()))
+        self._last = len(self._coef) - 1
 
     @property
     def vhat0(self):
-        return float(self.values[0])
+        return self._vhat0
 
     def _bounds(self, k):
         if np.any(k < 0):
@@ -216,21 +229,62 @@ class TabulatedPotential(PotentialModel):
             raise ExtrapolationError(
                 f"k = {bad} beyond tabulated range [0, {self.k_max}]")
 
+    def _scalar(self, k):
+        """One query as a float, with the range checks of _bounds."""
+        k = float(k)
+        if k < 0:
+            raise DomainError("vhat takes k >= 0")
+        if k > self.k_max * (1.0 + 1e-12):
+            raise ExtrapolationError(
+                f"k = {k} beyond tabulated range [0, {self.k_max}]")
+        return k
+
+    def _pchip(self, k):
+        """Interpolant at one k in [0, k_max], in scipy's PPoly arithmetic.
+
+        The interval is the last one whose left knot is <= k, closed on
+        the right at k_max; the cubic is summed lowest power first with
+        running powers of s, as scipy's evaluate_poly1 does.
+        """
+        i = bisect_right(self._knots, k) - 1
+        if i > self._last:
+            i = self._last
+        c0, c1, c2, c3 = self._coef[i]
+        s = k - self._knots[i]
+        z = s * s
+        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+
     def vhat(self, k):
+        if type(k) is float or np.ndim(k) == 0:
+            k = self._scalar(k)
+            if k != k:
+                return k
+            return self._pchip(k if k < self.k_max else self.k_max)
         arr = np.asarray(k, dtype=float)
         self._bounds(arr)
-        out = self._interp(np.minimum(arr, self.k_max))
-        return float(out) if np.ndim(k) == 0 else out
+        return self._interp(np.minimum(arr, self.k_max))
 
     def dvhat(self, k):
-        scalar = np.ndim(k) == 0
-        arr = np.atleast_1d(np.asarray(k, dtype=float))
+        if type(k) is float or np.ndim(k) == 0:
+            k = self._scalar(k)
+            if k != k:
+                return k
+            h = 1e-6 * k
+            if h < 1e-6:
+                h = 1e-6
+            lo = k - h
+            if lo < 0.0:
+                lo = 0.0
+            hi = k + h
+            if hi > self.k_max:
+                hi = self.k_max
+            return (self._pchip(hi) - self._pchip(lo)) / (hi - lo)
+        arr = np.asarray(k, dtype=float)
         self._bounds(arr)
         h = np.maximum(1e-6, 1e-6 * arr)
         lo = np.maximum(arr - h, 0.0)
         hi = np.minimum(arr + h, self.k_max)
-        out = (self._interp(hi) - self._interp(lo)) / (hi - lo)
-        return float(out[0]) if scalar else out
+        return (self._interp(hi) - self._interp(lo)) / (hi - lo)
 
     def d2vhat0(self):
         h = min(1e-4 * self.k_max, 0.5 * float(self.grid[1]))

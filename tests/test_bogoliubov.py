@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogodamp.bogoliubov import (bogo_coeffs, branch_table, detect_branches,
                                  first_branch, ground_state_energy_density,
                                  invert_dispersion, measure_factor_f,
                                  occupation_rho, omega_bg, omega_bg_prime)
-from bogodamp.errors import (DivergenceError, DomainError, RangeError,
-                             SingularMeasureError)
+from bogodamp.errors import (AssumptionError, DivergenceError, DomainError,
+                             RangeError, SingularMeasureError)
 from bogodamp.params import make_params
-from bogodamp.potential import FlatCutoffPotential, GaussianPotential
+from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
+                                TabulatedPotential)
 from conftest import gaussian_setup, maxon_roton_table
 
 
@@ -67,6 +70,82 @@ def test_omega_prime_matches_fd():
 def test_omega_prime_zero_limit_is_sound_speed():
     params, model = gaussian_setup(beta_nu=10.0, nu=2.0)
     assert omega_bg_prime(params, model, 1e-8) == pytest.approx(math.sqrt(2.0), rel=1e-6)
+
+
+def _prime_scalar_and_array(params, model, k):
+    got = omega_bg_prime(params, model, k)
+    assert type(got) is float
+    return got, float(omega_bg_prime(params, model, np.array([k]))[0])
+
+
+def _near(x):
+    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf),
+            x * (1.0 - 1e-9), x * (1.0 + 1e-9), x - 1e-6, x + 1e-6]
+
+
+def test_omega_prime_scalar_bitwise_flat_cutoff():
+    model = FlatCutoffPotential(v0=0.8, Lambda=1.5)
+    params = make_params(nu=0.7, beta=10.0, vhat0=model.vhat0)
+    points = _near(1.5) + _near(3.0) + list(np.linspace(0.01, 6.0, 200))
+    for k in map(float, points):
+        got, want = _prime_scalar_and_array(params, model, k)
+        assert got.hex() == want.hex(), k
+
+
+def test_omega_prime_scalar_bitwise_maxon_stationary_points():
+    model = maxon_roton_table(nu=1.3)
+    params = make_params(nu=1.3, beta=4.0, vhat0=model.vhat0)
+    brs = detect_branches(params, model, p_max=model.k_max)
+    stationary = [b.p_hi for b in brs[:-1]]
+    assert len(stationary) == 2
+    points = [k for p in stationary for k in _near(p)]
+    points += list(np.linspace(0.01, model.k_max, 300))
+    for k in map(float, points):
+        got, want = _prime_scalar_and_array(params, model, k)
+        assert got.hex() == want.hex(), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(1e-100, 12.0))
+def test_omega_prime_scalar_gaussian(k):
+    """Same arithmetic as the array path; the Gaussian profile itself is
+    evaluated by math.exp for a scalar and np.exp for an array, which can
+    differ in the last bits, and only then may the slopes differ.  (Below
+    about 1e-162 k^2 underflows and both paths raise.)"""
+    params, model = gaussian_setup(beta_nu=10.0, nu=0.7)
+    got, want = _prime_scalar_and_array(params, model, k)
+    arr = np.array([k])
+    if (model.vhat(k) == model.vhat(arr)[0]
+            and model.dvhat(k) == model.dvhat(arr)[0]):
+        assert got.hex() == want.hex()
+    else:
+        assert abs(got - want) <= 4.0 * math.ulp(want)
+
+
+def test_omega_prime_scalar_limit_types_and_errors():
+    params, model = gaussian_setup(beta_nu=10.0, nu=2.0)
+    tab = maxon_roton_table(nu=2.0)
+    for m in (model, tab):
+        p = make_params(nu=2.0, beta=5.0, vhat0=m.vhat0)
+        for zero in (0.0, 0, np.float64(0.0), np.array(0.0)):
+            got = omega_bg_prime(p, m, zero)
+            assert type(got) is float and got == math.sqrt(2.0)
+        for k in (1, np.float64(0.7), np.array(0.7)):
+            got = omega_bg_prime(p, m, k)
+            assert type(got) is float
+            assert got == omega_bg_prime(p, m, float(k))
+        for bad in (-1e-3, -math.inf, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                omega_bg_prime(p, m, bad)
+
+
+def test_omega_prime_scalar_raises_on_negative_radicand():
+    k = np.linspace(0.0, 4.0, 41)
+    model = TabulatedPotential(k, 1.0 - 2.0 * k)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    for arg in (3.0, np.array([3.0])):
+        with pytest.raises(AssumptionError, match="radicand negative"):
+            omega_bg_prime(params, model, arg)
 
 
 def test_coeffs_flat_point():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogodamp.errors import DomainError, ExtrapolationError, ParameterError
 from bogodamp.params import make_params
@@ -84,6 +86,63 @@ def test_tabulated_roundtrip_and_bounds():
         t.vhat(5.1)
     with pytest.raises(DomainError):
         t.vhat(-0.2)
+
+
+TABLES = {"maxon": maxon_roton_table(), "concave": concave_table()}
+
+
+def _assert_scalar_matches_array(model, k):
+    """Scalar vhat and dvhat are Python floats equal in every bit to the
+    single-element array path."""
+    for method in (model.vhat, model.dvhat):
+        got = method(k)
+        want = float(method(np.array([k]))[0])
+        assert type(got) is float
+        assert got.hex() == want.hex(), (method.__name__, k)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tabulated_scalar_path_bitwise_at_nodes(name):
+    model = TABLES[name]
+    nodes = model.grid.tolist()
+    points = ([0.0, model.k_max, model.k_max * (1.0 + 1e-12)] + nodes
+              + [math.nextafter(x, 0.0) for x in nodes])
+    for k in points:
+        _assert_scalar_matches_array(model, k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_tabulated_scalar_path_bitwise_random(data):
+    model = TABLES[data.draw(st.sampled_from(sorted(TABLES)))]
+    k = data.draw(st.floats(0.0, model.k_max * (1.0 + 1e-12)))
+    _assert_scalar_matches_array(model, k)
+
+
+@pytest.mark.parametrize("k", [1, np.float64(0.37), np.array(0.37), np.array(2)])
+def test_tabulated_other_scalar_types_return_float(k):
+    model = TABLES["maxon"]
+    for method in (model.vhat, model.dvhat):
+        got = method(k)
+        assert type(got) is float
+        assert got.hex() == method(float(k)).hex()
+
+
+def test_tabulated_scalar_bounds_and_nan():
+    model = TABLES["concave"]
+    beyond = math.nextafter(model.k_max * (1.0 + 1e-12), math.inf)
+    for method in (model.vhat, model.dvhat):
+        for bad in (-1e-300, -1.0, -math.inf):
+            with pytest.raises(DomainError):
+                method(bad)
+        for bad in (beyond, math.inf):
+            with pytest.raises(ExtrapolationError) as scalar:
+                method(bad)
+            with pytest.raises(ExtrapolationError) as array:
+                method(np.array([bad]))
+            assert str(scalar.value) == str(array.value)
+        assert math.isnan(method(math.nan))
+        assert math.isnan(method(np.array([math.nan]))[0])
 
 
 def test_tabulated_validation_errors():
