@@ -92,6 +92,11 @@ def _omega_prime_scalar(params, model, k):
         raise AssumptionError("dispersion radicand negative inside slope evaluation")
     w = math.sqrt(rad)
     if w == 0.0:
+        # k * k underflows below k ~ 1e-162: omega = k sqrt(inner), and k
+        # cancels from the slope
+        inner = 0.25 * k * k + nu * vh / v0
+        if inner > 0:
+            return nu / math.sqrt(inner) * npk
         raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
     return nu * k / w * npk
 
@@ -125,10 +130,16 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
         raise AssumptionError("dispersion radicand negative inside slope evaluation")
     w = np.sqrt(rad)
     pos = arr > 0
-    if np.any(pos & (w == 0.0)):
+    under = pos & (w == 0.0)
+    # k * k underflows below k ~ 1e-162: omega = k sqrt(inner), and k
+    # cancels from the slope
+    inner = 0.25 * arr[under] ** 2 + nu * vh[under] / v0
+    if np.any(inner <= 0):
         raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
     out = np.full(arr.shape, math.sqrt(nu))
+    pos &= ~under
     out[pos] = nu * arr[pos] / w[pos] * npk[pos]
+    out[under] = nu / np.sqrt(inner) * npk[under]
     return out
 
 

@@ -128,16 +128,89 @@ def _resolve_roots(branches, target, q_lo, q_hi):
     return sorted(out)
 
 
+# Relative energy noise allowed for when the support scan counts roots on
+# arrays: the few-ulp gap between the scalar and the array dispersion of
+# the Gaussian profile and the rounding of the targets, as a share of the
+# energies compared.
+_COUNT_NOISE = 1e-13
+
+
+def _grid_counts(params, model, branches, process, k, w_k, ps):
+    """Conservation root counts at the momenta ps, without inverting.
+
+    Returns (counts, doubt): wherever doubt is False, counts is the number
+    of roots _resolve_roots finds at that momentum; where it is True a
+    comparison sits within its margin and the count must be taken from
+    _resolve_roots itself.
+
+    Each branch is monotone, so its root q of omega(q) = t lies in
+    [a, b] = [|p - k| - slack, p + k + slack] exactly when t lies between
+    omega(a) and omega(b), both clamped to the branch.  The inversion
+    returns q within xtol + rtol q <= 2e-13 max(p_hi, 1) of a sign change
+    of omega - t, so a comparison is decided once t clears omega at
+    a -+ 4e-13 max(p_hi, 1) (b likewise) by the energy noise
+    _COUNT_NOISE (w_k + omega(p)).  A target within that noise of 0, or
+    within the 1e-12 energy slack of a branch edge, is always in doubt:
+    there the tgt <= 0 rule, the clamping of the target, the 1e-9 root
+    dedup and the 1e-8 sqrt(nu) precision of the stationary points act.
+    """
+    wp = omega_bg(params, model, ps)
+    t = w_k - wp if process == "beliaev" else w_k + wp
+    noise = _COUNT_NOISE * (w_k + wp)
+    q_hi = ps + k
+    slack = 1e-9 * (1.0 + q_hi)
+    a = np.abs(ps - k) - slack
+    b = q_hi + slack
+    live = t > noise
+    doubt = np.abs(t) <= noise
+    counts = np.zeros(ps.shape, dtype=int)
+    for br in branches:
+        wlo, whi = br.omega_min, br.omega_max
+        edge = 1e-12 * (1.0 + whi) + noise
+        near = (np.abs(t - wlo) <= edge) | (np.abs(t - whi) <= edge)
+        doubt |= live & near
+        inside = live & ~near & (t > wlo) & (t < whi)
+        # sign * omega increases along the branch
+        sign = 1.0 if br.increasing else -1.0
+        lo, hi = br.p_lo, br.p_hi
+        tol = 4e-13 * max(hi, 1.0)
+        tg = sign * t
+
+        def g(q):
+            return sign * omega_bg(params, model, np.clip(q, lo, hi))
+
+        ge_a = (a <= lo) | (tg > g(a + tol) + noise)   # surely q >= a
+        lt_a = (a > hi) | (tg < g(a - tol) - noise)    # surely q < a
+        le_b = (b >= hi) | (tg < g(b - tol) - noise)   # surely q <= b
+        gt_b = (b < lo) | (tg > g(b + tol) + noise)    # surely q > b
+        hit = ge_a & le_b
+        counts += inside & hit
+        doubt |= inside & ~hit & ~lt_a & ~gt_b
+    return counts, doubt
+
+
 def detect_support(params: GasParameters, model: PotentialModel, k: float,
                    process: str) -> DeltaSupport:
     """Locate the stretches of partner momentum carrying conservation roots.
 
     For the decay process the partner runs over [0, k]; for absorption it
     runs to the thermal cutoff momentum.  Root counts are sampled on an
-    interior grid and count transitions are refined by bisection, so
-    narrow support slivers below the grid resolution would be missed;
-    for convex dispersions the count is constant and the support is the
-    full interval.
+    interior grid of 255 points and count transitions are refined by
+    bisection, so narrow support slivers below the grid resolution would
+    be missed; for convex dispersions the count is constant and the
+    support is the full interval.
+
+    The grid counts are taken on arrays, without inverting the dispersion
+    (_grid_counts): on each monotone branch a root lies in the allowed
+    momentum window exactly when the target energy lies between the
+    energies at the window's ends.  A grid point whose comparison falls
+    within the margin (the inversion's momentum tolerance 4e-13
+    max(p_hi, 1) on each end, an energy noise of 1e-13 (omega(k) +
+    omega(p)), and the 1e-12 energy slack around every branch edge) is
+    recounted by inverting branch by branch, so every count, and with it
+    every segment, equals the one full inversion gives.  The bisection
+    and the per-segment counts invert as well; they run only where the
+    count changes.
     """
     k = _validate_k(k)
     if process not in ("beliaev", "landau"):
@@ -172,7 +245,9 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
 
     n = 255
     ps = np.linspace(p_lo, p_hi, n + 2)[1:-1]
-    cs = [count(float(p)) for p in ps]
+    counts, doubt = _grid_counts(params, model, branches, process, k, w_k, ps)
+    cs = [count(float(p)) if d else int(c)
+          for p, c, d in zip(ps, counts, doubt)]
 
     if all(c == cs[0] for c in cs):
         if cs[0] == 0:
@@ -233,7 +308,7 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
     if not support.segments:
         return _empty_result(diag, support)
     if not support.first_branch_ok:
-        return reduce_delta_generic(params, model, k, "beliaev", quad)
+        return _generic_scan(params, model, k, "beliaev", quad, support)
 
     branch = first_branch(params, model, w_k)
     pO = energy_point(params, model, branch, w_k)
@@ -290,7 +365,7 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
     if not support.segments:
         return _empty_result(diag, support)
     if not support.first_branch_ok:
-        return reduce_delta_generic(params, model, k, "landau", quad)
+        return _generic_scan(params, model, k, "landau", quad, support)
 
     beta = params.beta
     theta = beta * w_k
@@ -342,9 +417,14 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
         raise ParameterError(f"process must be beliaev or landau, got {process!r}")
     if quad is None:
         quad = QuadratureSpec()
+    support = detect_support(params, model, k, process)
+    return _generic_scan(params, model, k, process, quad, support)
+
+
+def _generic_scan(params, model, k, process, quad, support):
+    """The scan of reduce_delta_generic on an already detected support."""
     w_k = _omega_scalar(params, model, k)
     diag = diagnostics(params, k, w_k)
-    support = detect_support(params, model, k, process)
     if not support.segments:
         return DampingResult(0.0, 0.0, "generic_scan", diag, support, True)
     energy_need = w_k if process == "beliaev" else (

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, ExtrapolationError, ParameterError
 from .params import GasParameters
@@ -206,6 +205,10 @@ class TabulatedPotential(PotentialModel):
             raise ParameterError(f"grid must start at 0, got {grid[0]}")
         if np.any(np.diff(grid) <= 0):
             raise ParameterError("grid must be strictly increasing")
+        # imported here so that importing the package for the analytic
+        # profiles does not load scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+
         self.grid = grid
         self.values = values
         self._interp = PchipInterpolator(grid, values, extrapolate=False)

@@ -110,8 +110,7 @@ def test_omega_prime_scalar_bitwise_maxon_stationary_points():
 def test_omega_prime_scalar_gaussian(k):
     """Same arithmetic as the array path; the Gaussian profile itself is
     evaluated by math.exp for a scalar and np.exp for an array, which can
-    differ in the last bits, and only then may the slopes differ.  (Below
-    about 1e-162 k^2 underflows and both paths raise.)"""
+    differ in the last bits, and only then may the slopes differ."""
     params, model = gaussian_setup(beta_nu=10.0, nu=0.7)
     got, want = _prime_scalar_and_array(params, model, k)
     arr = np.array([k])
@@ -120,6 +119,15 @@ def test_omega_prime_scalar_gaussian(k):
         assert got.hex() == want.hex()
     else:
         assert abs(got - want) <= 4.0 * math.ulp(want)
+
+
+def test_omega_prime_where_k_squared_underflows():
+    params, model = gaussian_setup(beta_nu=10.0, nu=2.0)
+    assert omega_bg_prime(params, model, 1e-170) == pytest.approx(math.sqrt(2.0),
+                                                                  rel=1e-14)
+    got = omega_bg_prime(params, model, np.array([1e-170, 0.0, 1e-3]))
+    assert got[:2] == pytest.approx([math.sqrt(2.0)] * 2, rel=1e-14)
+    assert got[2] == omega_bg_prime(params, model, np.array([1e-3]))[0]
 
 
 def test_omega_prime_scalar_limit_types_and_errors():

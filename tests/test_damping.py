@@ -1,9 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from bogodamp.bogoliubov import first_branch
+from bogodamp import bogoliubov, damping
+from bogodamp.bogoliubov import branch_table, first_branch, omega_bg
 from bogodamp.damping import (DampingResult, detect_support, flat_highT_kernel,
                               flat_highT_kernel_integral,
                               gamma_beliaev_asymptotic,
@@ -13,7 +18,8 @@ from bogodamp.damping import (DampingResult, detect_support, flat_highT_kernel,
                               select_regime, total_damping)
 from bogodamp.errors import DomainError, ParameterError
 from bogodamp.params import make_params
-from bogodamp.potential import FlatCutoffPotential
+from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
+                                load_tabulated)
 from bogodamp.specfun import landau_Gk, zeta
 from conftest import concave_table, gaussian_setup, maxon_roton_table
 
@@ -56,6 +62,93 @@ def test_support_rejects_bad_process():
     params, model = gaussian_setup(beta_nu=10.0)
     with pytest.raises(ParameterError):
         detect_support(params, model, 0.3, "unknown")
+
+
+def _scalar_support(params, model, k, process):
+    """detect_support with every grid point counted by inversion."""
+    def all_doubtful(*args):
+        n = len(args[-1])
+        return np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(damping, "_grid_counts", all_doubtful)
+        return detect_support(params, model, k, process)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # both routes must fail alike
+        return type(exc), str(exc)
+
+
+SUPPORT_MODELS = {
+    "gaussian": GaussianPotential(v=0.1, nu=1.0),
+    "gaussian_nonconvex": GaussianPotential(v=0.8, nu=1.0),
+    "flat_cutoff": FlatCutoffPotential(v0=0.8, Lambda=1.5),
+    "maxon_roton": maxon_roton_table(),
+    "concave": concave_table(),
+    "dip": load_tabulated(os.path.join(os.path.dirname(__file__), "data",
+                                       "dip_profile.dat")),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(SUPPORT_MODELS)),
+       log_x=st.floats(-8.0, 1.0), log_bn=st.floats(-3.0, 6.0),
+       process=st.sampled_from(["beliaev", "landau"]))
+def test_support_array_counts_equal_scalar_counts(name, log_x, log_bn, process):
+    model = SUPPORT_MODELS[name]
+    params = make_params(nu=1.0, beta=10.0 ** log_bn, vhat0=model.vhat0)
+    k = 10.0 ** log_x
+    assert (_outcome(detect_support, params, model, k, process)
+            == _outcome(_scalar_support, params, model, k, process))
+
+
+@pytest.mark.parametrize("j", [64, 200])
+@pytest.mark.parametrize("edge", ["maxon", "roton", "window"])
+def test_support_recounts_targets_on_a_branch_edge(edge, j):
+    """k is solved so that the decay target at grid point j equals the
+    energy of a stationary point, the edge of two branches, or (window)
+    so that a root sits on the lower end |p - k| - slack of its window."""
+    model = maxon_roton_table()
+    params = make_params(nu=1.0, beta=4.0, vhat0=model.vhat0)
+    up, down, _ = branch_table(params, model, 1.0)
+    energy = up.omega_max if edge == "maxon" else down.omega_min
+
+    def gap(k):
+        p = float(np.linspace(0.0, k, 257)[j])
+        target = omega_bg(params, model, k) - omega_bg(params, model, p)
+        if edge == "window":
+            return omega_bg(params, model, k - p - 1e-9 * (1.0 + p + k)) - target
+        return target - energy
+
+    k = brentq(gap, 2.0, 2.2 if edge == "window" else 2.4, xtol=1e-15)
+    w_k = omega_bg(params, model, k)
+    ps = np.linspace(0.0, k, 257)[1:-1]
+    _, doubt = damping._grid_counts(params, model, branch_table(params, model, w_k),
+                                    "beliaev", k, w_k, ps)
+    assert doubt[j - 1]
+    assert (detect_support(params, model, k, "beliaev")
+            == _scalar_support(params, model, k, "beliaev"))
+
+
+@pytest.mark.parametrize("process, most", [("beliaev", 0), ("landau", 1)])
+def test_support_counts_roots_without_inverting(monkeypatch, process, most):
+    """On a convex profile the grid counts take no inversion; Landau
+    inverts once for the thermal cutoff momentum."""
+    calls = []
+    orig = bogoliubov.invert_dispersion
+
+    def counted(branch, omega):
+        calls.append(omega)
+        return orig(branch, omega)
+
+    monkeypatch.setattr(bogoliubov, "invert_dispersion", counted)
+    monkeypatch.setattr(damping, "invert_dispersion", counted)
+    params, model = gaussian_setup(beta_nu=50.0)
+    sup = detect_support(params, model, 0.05, process)
+    assert sup.convex_fastpath_ok
+    assert len(calls) <= most
 
 
 # --------------------------------------------------------------------------
@@ -190,6 +283,23 @@ def test_generic_scan_rate_bits_are_pinned():
     assert res.converged is True
     assert res.value == 2.9838577331237314e-06
     assert res.abs_error == 2.587586099146735e-15
+
+
+def test_generic_fallback_detects_support_once(monkeypatch):
+    calls = []
+    orig = damping.detect_support
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(damping, "detect_support", counted)
+    m = maxon_roton_table()
+    params = make_params(1, 4, m.vhat0)
+    for rate in (gamma_beliaev_quadrature, gamma_landau_quadrature):
+        calls.clear()
+        assert rate(params, m, 0.2).method == "generic_scan"
+        assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
