@@ -8,8 +8,10 @@ multiplies rates, not energies.
 For potentials whose profile dips (maxon and roton style tables) the
 dispersion is no longer monotone, so inversion from energy to momentum has
 to be organised by branch.  detect_branches splits [0, p_max] at the
-stationary points of omega and each DispersionBranch carries a sampled
-inverse used to bracket a final polish by Brent's method.  branch_table
+stationary points of omega and each DispersionBranch carries sampled
+energies and slopes: they bracket the root between two nodes and give a
+cubic Hermite first guess, which a safeguarded Newton iteration polishes
+to about an ulp, usually in one dispersion evaluation.  branch_table
 picks p_max from the requested energy alone, so a table, and every rate
 computed on it, is a pure function of its arguments.
 
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (AssumptionError, DivergenceError, DomainError,
                      ExtrapolationError, ParameterError, RangeError,
@@ -46,6 +49,10 @@ __all__ = [
     "measure_factor_f",
     "ground_state_energy_density",
 ]
+
+
+# Smallest normal float: below it k * k and the radicand lose precision.
+_TINY = sys.float_info.min
 
 
 def _nu_of(params, model, k):
@@ -78,11 +85,17 @@ def omega_bg(params: GasParameters, model: PotentialModel, k):
     return np.sqrt(rad)
 
 
-def _omega_prime_scalar(params, model, k):
-    """Group velocity at one momentum, in the array path's operation order."""
+def _omega_and_slope(params, model, k):
+    """Dispersion and group velocity at one momentum k >= 0.
+
+    One vhat and one dvhat call.  The slope is computed in omega_bg_prime's
+    array operation order; the energy equals _omega_scalar's bit for bit
+    except below k ~ 1e-154, where k * k is subnormal and _omega_scalar
+    loses precision, but this returns k sqrt(k^2/4 + nu_k).
+    """
     nu = params.nu
     if k == 0.0:
-        return math.sqrt(nu)
+        return 0.0, math.sqrt(nu)
     v0 = model.vhat0
     vh = model.vhat(k)
     dvh = model.dvhat(k)
@@ -90,15 +103,16 @@ def _omega_prime_scalar(params, model, k):
     rad = k * k * (0.25 * k * k + nu * vh / v0)
     if rad < 0:
         raise AssumptionError("dispersion radicand negative inside slope evaluation")
-    w = math.sqrt(rad)
-    if w == 0.0:
-        # k * k underflows below k ~ 1e-162: omega = k sqrt(inner), and k
-        # cancels from the slope
+    if rad < _TINY or k * k < _TINY:
+        # k * k is subnormal below k ~ 1e-154: omega = k sqrt(inner), and
+        # k cancels from the slope
         inner = 0.25 * k * k + nu * vh / v0
         if inner > 0:
-            return nu / math.sqrt(inner) * npk
+            root = math.sqrt(inner)
+            return k * root, nu / root * npk
         raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
-    return nu * k / w * npk
+    w = math.sqrt(rad)
+    return w, nu * k / w * npk
 
 
 def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
@@ -118,7 +132,7 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
         k = float(arr)
         if not math.isfinite(k) or k < 0:
             raise DomainError("k must be finite and >= 0")
-        return _omega_prime_scalar(params, model, k)
+        return _omega_and_slope(params, model, k)[1]
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise DomainError("k must be finite and >= 0")
     nu, v0 = params.nu, model.vhat0
@@ -130,8 +144,8 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
         raise AssumptionError("dispersion radicand negative inside slope evaluation")
     w = np.sqrt(rad)
     pos = arr > 0
-    under = pos & (w == 0.0)
-    # k * k underflows below k ~ 1e-162: omega = k sqrt(inner), and k
+    under = pos & ((rad < _TINY) | (arr * arr < _TINY))
+    # k * k is subnormal below k ~ 1e-154: omega = k sqrt(inner), and k
     # cancels from the slope
     inner = 0.25 * arr[under] ** 2 + nu * vh[under] / v0
     if np.any(inner <= 0):
@@ -185,12 +199,14 @@ class DispersionBranch:
 
     Attributes p_lo, p_hi bound the momentum interval, omega_lo and
     omega_hi are the energies at those endpoints in momentum order, and
-    increasing records the direction.  The cached samples bracket Brent
-    polishing in invert_dispersion.
+    increasing records the direction.  The cached nodes hold momentum,
+    energy and group velocity in ascending energy order, as plain floats
+    for the scalar hot path: invert_dispersion brackets its root between
+    two of them and starts Newton from their cubic Hermite interpolant.
     """
 
     __slots__ = ("params", "model", "index", "p_lo", "p_hi", "omega_lo",
-                 "omega_hi", "increasing", "_asc_w", "_asc_p")
+                 "omega_hi", "increasing", "_asc_w", "_asc_p", "_asc_d")
 
     def __init__(self, params, model, index, p_nodes, w_nodes, increasing):
         self.params = params
@@ -201,10 +217,11 @@ class DispersionBranch:
         self.omega_lo = float(w_nodes[0])
         self.omega_hi = float(w_nodes[-1])
         self.increasing = bool(increasing)
-        if increasing:
-            self._asc_p, self._asc_w = p_nodes, w_nodes
-        else:
-            self._asc_p, self._asc_w = p_nodes[::-1], w_nodes[::-1]
+        d_nodes = omega_bg_prime(params, model, p_nodes)
+        step = 1 if increasing else -1
+        self._asc_p = p_nodes[::step].tolist()
+        self._asc_w = w_nodes[::step].tolist()
+        self._asc_d = d_nodes[::step].tolist()
 
     @property
     def omega_min(self):
@@ -288,8 +305,33 @@ def detect_branches(params: GasParameters, model: PotentialModel,
     return branches
 
 
+# Iteration cap of invert_dispersion: bisection alone shrinks a node
+# interval to adjacent floats in well under this many steps.
+_INVERT_MAXIT = 200
+# Relative error of the slope a Newton step may carry: the tabulated
+# profile differentiates by central differences with step 1e-6 k.
+_SLOPE_RTOL = 1e-6
+
+
 def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
-    """Momentum on the branch with quasiparticle energy omega."""
+    """Momentum on the branch with quasiparticle energy omega.
+
+    The cached nodes bracket the root in [lo, hi].  Newton's method on
+    omega(p) - omega starts from the nodes' cubic Hermite interpolant
+    (linear where the node slopes would make the cubic non-monotone) and
+    falls back to bisection whenever a step leaves the bracket or fails
+    to halve.  After a Newton step delta the error left is at most
+    K delta^2 + _SLOPE_RTOL |delta|, with K = 2 |d_b - d_a| / (|p_b - p_a|
+    min(|d_a|, |d_b|)) from the node slopes d: four times the secant
+    estimate of Newton's constant |omega''| / (2 |omega'|) on the
+    interval.  The step is the last once that bound is at most an ulp of
+    the new iterate.  Otherwise the loop ends on an exact zero, on a step
+    below half an ulp, or when the bracket closes to adjacent floats.
+    Either way the result is within a few ulp of a sign change of
+    omega(p) - omega, so its energy residual is a few ulp of omega.  A
+    loop that runs out (a model whose dispersion is not finite on the
+    bracket) raises AssumptionError.
+    """
     omega = float(omega)
     if not math.isfinite(omega):
         raise DomainError(f"omega must be finite, got {omega}")
@@ -299,20 +341,61 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
         raise RangeError(
             f"energy {omega} outside branch range [{wlo}, {whi}]")
     omega = min(max(omega, wlo), whi)
-    wv, pv = branch._asc_w, branch._asc_p
-    i = int(np.searchsorted(wv, omega))
+    wv, pv, dv = branch._asc_w, branch._asc_p, branch._asc_d
+    i = bisect_left(wv, omega)
     i = min(max(i, 1), len(wv) - 1)
-    pa, pb = float(pv[i - 1]), float(pv[i])
+    pa, pb = pv[i - 1], pv[i]
     lo, hi = (pa, pb) if pa <= pb else (pb, pa)
     if lo == hi:
         return lo
+    wa, da, db = wv[i - 1], dv[i - 1], dv[i]
+    dp = pb - pa
+    dw = wv[i] - wa
+    t = (omega - wa) / dw if dw > 0.0 else 0.5
+    # Hermite tangents in p per unit t, admitted while 0 <= m/dp <= 3
+    # (Fritsch and Carlson), which keeps the cubic inside [lo, hi]
+    ma = dw / da if da != 0.0 else math.inf
+    mb = dw / db if db != 0.0 else math.inf
+    if 0.0 <= ma / dp <= 3.0 and 0.0 <= mb / dp <= 3.0:
+        t2 = t * t
+        p = (pa + t2 * (3.0 - 2.0 * t) * dp
+             + t * (t - 1.0) * ((t - 1.0) * ma + t * mb))
+    else:
+        p = pa + t * dp
+    p = min(max(p, lo), hi)
+    dmin = min(abs(da), abs(db))
+    curv = 2.0 * abs(db - da) / (abs(dp) * dmin) if dmin > 0.0 else math.inf
+    sign = 1.0 if branch.increasing else -1.0
     params, model = branch.params, branch.model
-
-    def f(p):
-        return _omega_scalar(params, model, p) - omega
-
-    xtol = 1e-13 * max(branch.p_hi, 1.0)
-    return float(optimize.brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200))
+    last = hi - lo
+    for _ in range(_INVERT_MAXIT):
+        w, slope = _omega_and_slope(params, model, p)
+        g = sign * (w - omega)
+        if g < 0.0:
+            lo = p
+        elif g > 0.0:
+            hi = p
+        elif g == 0.0:
+            return p
+        dg = sign * slope
+        step = g / dg if dg > 0.0 else math.inf
+        q = p - step
+        if q == p:
+            return p
+        if lo < q < hi and 2.0 * abs(step) <= last:
+            if (curv * abs(step) + _SLOPE_RTOL) * abs(step) <= math.ulp(q):
+                return q
+            last = abs(step)
+        else:
+            q = 0.5 * (lo + hi)
+            if q == lo or q == hi:
+                return q
+            last = hi - lo
+        p = q
+    raise AssumptionError(
+        f"dispersion inversion at energy {omega} did not converge in "
+        f"{_INVERT_MAXIT} steps on {branch!r}: the dispersion is not finite "
+        "and monotone on the bracket")
 
 
 @functools.lru_cache(maxsize=8)

@@ -146,11 +146,14 @@ def _grid_counts(params, model, branches, process, k, w_k, ps):
     Each branch is monotone, so its root q of omega(q) = t lies in
     [a, b] = [|p - k| - slack, p + k + slack] exactly when t lies between
     omega(a) and omega(b), both clamped to the branch.  The inversion
-    returns q within xtol + rtol q <= 2e-13 max(p_hi, 1) of a sign change
-    of omega - t, so a comparison is decided once t clears omega at
-    a -+ 4e-13 max(p_hi, 1) (b likewise) by the energy noise
-    _COUNT_NOISE (w_k + omega(p)).  A target within that noise of 0, or
-    within the 1e-12 energy slack of a branch edge, is always in doubt:
+    returns q within a few ulp of q of a sign change of omega - t
+    (invert_dispersion), so within 1e-15 max(p_hi, 1), and a comparison
+    is decided once t clears omega at a -+ 4e-13 max(p_hi, 1) (b
+    likewise) by the energy noise _COUNT_NOISE (w_k + omega(p)).  The
+    momentum margin is several hundred times the inversion error; the
+    noise covers the gap between the scalar and the array dispersion.
+    A target within that noise of 0, or within the 1e-12 energy slack of
+    a branch edge, is always in doubt:
     there the tgt <= 0 rule, the clamping of the target, the 1e-9 root
     dedup and the 1e-8 sqrt(nu) precision of the stationary points act.
     """
@@ -204,9 +207,10 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     (_grid_counts): on each monotone branch a root lies in the allowed
     momentum window exactly when the target energy lies between the
     energies at the window's ends.  A grid point whose comparison falls
-    within the margin (the inversion's momentum tolerance 4e-13
-    max(p_hi, 1) on each end, an energy noise of 1e-13 (omega(k) +
-    omega(p)), and the 1e-12 energy slack around every branch edge) is
+    within the margin (a momentum margin of 4e-13 max(p_hi, 1) on each
+    end, far wider than the inversion's few ulp, an energy noise of
+    1e-13 (omega(k) + omega(p)), and the 1e-12 energy slack around every
+    branch edge) is
     recounted by inverting branch by branch, so every count, and with it
     every segment, equals the one full inversion gives.  The bisection
     and the per-segment counts invert as well; they run only where the

@@ -101,15 +101,19 @@ class GaussianPotential(PotentialModel):
     def _expo(self, k):
         return self.v / (2.0 * self.nu * self.nu) * np.square(k)
 
+    def _scalar_vhat(self, k):
+        return self.v * math.exp(-self.v * k ** 2 / (2.0 * self.nu ** 2))
+
     def vhat(self, k):
-        if np.ndim(k) == 0:
-            return self.v * math.exp(-self.v * float(k) ** 2 / (2.0 * self.nu ** 2))
+        if type(k) is float or np.ndim(k) == 0:
+            return self._scalar_vhat(float(k))
         return self.v * np.exp(-self._expo(np.asarray(k, dtype=float)))
 
     def dvhat(self, k):
         w2 = self.nu * self.nu / self.v
-        if np.ndim(k) == 0:
-            return -float(k) / w2 * self.vhat(k)
+        if type(k) is float or np.ndim(k) == 0:
+            k = float(k)
+            return -k / w2 * self._scalar_vhat(k)
         k = np.asarray(k, dtype=float)
         return -k / w2 * self.vhat(k)
 

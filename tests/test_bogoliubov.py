@@ -1,10 +1,13 @@
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bogodamp import bogoliubov, damping
 from bogodamp.bogoliubov import (bogo_coeffs, branch_table, detect_branches,
                                  first_branch, ground_state_energy_density,
                                  invert_dispersion, measure_factor_f,
@@ -13,8 +16,8 @@ from bogodamp.errors import (AssumptionError, DivergenceError, DomainError,
                              RangeError, SingularMeasureError)
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
-                                TabulatedPotential)
-from conftest import gaussian_setup, maxon_roton_table
+                                TabulatedPotential, load_tabulated)
+from conftest import concave_table, gaussian_setup, maxon_roton_table
 
 
 def flat_setup(nu=1.0, beta=10.0):
@@ -122,12 +125,14 @@ def test_omega_prime_scalar_gaussian(k):
 
 
 def test_omega_prime_where_k_squared_underflows():
+    """k * k is 0 at 1e-170 and subnormal, with 24 bits left, at 1e-158."""
     params, model = gaussian_setup(beta_nu=10.0, nu=2.0)
-    assert omega_bg_prime(params, model, 1e-170) == pytest.approx(math.sqrt(2.0),
-                                                                  rel=1e-14)
-    got = omega_bg_prime(params, model, np.array([1e-170, 0.0, 1e-3]))
-    assert got[:2] == pytest.approx([math.sqrt(2.0)] * 2, rel=1e-14)
-    assert got[2] == omega_bg_prime(params, model, np.array([1e-3]))[0]
+    for k in (1e-170, 1e-158):
+        assert omega_bg_prime(params, model, k) == pytest.approx(
+            math.sqrt(2.0), rel=1e-14)
+    got = omega_bg_prime(params, model, np.array([1e-170, 1e-158, 0.0, 1e-3]))
+    assert got[:3] == pytest.approx([math.sqrt(2.0)] * 3, rel=1e-14)
+    assert got[3] == omega_bg_prime(params, model, np.array([1e-3]))[0]
 
 
 def test_omega_prime_scalar_limit_types_and_errors():
@@ -259,6 +264,155 @@ def test_invert_out_of_range():
     br = detect_branches(params, model, p_max=2.0)[0]
     with pytest.raises(RangeError):
         invert_dispersion(br, 2.0 * br.omega_max)
+
+
+INVERT_MODELS = {
+    "gaussian": GaussianPotential(v=0.1, nu=1.0),
+    "gaussian_nonconvex": GaussianPotential(v=0.8, nu=1.0),
+    "flat_cutoff": FlatCutoffPotential(v0=0.8, Lambda=1.5),
+    "maxon_roton": maxon_roton_table(),
+    "concave": concave_table(),
+    "dip": load_tabulated(os.path.join(os.path.dirname(__file__), "data",
+                                       "dip_profile.dat")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _invert_branches(name):
+    model = INVERT_MODELS[name]
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    return params, model, detect_branches(
+        params, model, p_max=getattr(model, "k_max", 8.0))
+
+
+def _assert_root(params, model, br, omega, p):
+    """p on the branch, and omega(p) within a root's rounding of omega.
+
+    A root of the rounded dispersion known to an ulp of p moves omega by
+    |omega'(p)| ulp(p); the evaluation itself rounds by an ulp of omega.
+    Energies past a branch edge (inside the slack) invert to the edge.
+    """
+    assert br.p_lo <= p <= br.p_hi
+    target = min(max(omega, br.omega_min), br.omega_max)
+    slope = abs(omega_bg_prime(params, model, p))
+    bound = 4.0 * (math.ulp(target) + slope * math.ulp(p))
+    assert abs(omega_bg(params, model, p) - target) <= bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(INVERT_MODELS)), j=st.integers(0, 2),
+       where=st.sampled_from(["inside", "low_edge", "high_edge", "tiny"]),
+       x=st.floats(0.0, 1.0), ulps=st.integers(-4, 4))
+def test_invert_to_an_ulp_on_every_branch(name, j, where, x, ulps):
+    """Energies inside each branch, within a few ulp of its edges (the
+    stationary tops and the roton minimum among them), and down to
+    1e-12 nu on the branch rising from zero."""
+    params, model, brs = _invert_branches(name)
+    br = brs[j % len(brs)]
+    if where == "inside":
+        omega = br.omega_min + x * (br.omega_max - br.omega_min)
+        # below about 1e-154 omega_bg loses precision to a subnormal k * k
+        assume(omega == 0.0 or omega >= 1e-12 * params.nu)
+    elif where == "tiny":
+        br = brs[0]
+        omega = 10.0 ** (-12.0 + 9.0 * x) * params.nu
+    else:
+        omega = br.omega_min if where == "low_edge" else br.omega_max
+        # the branch rising from zero starts at exactly 0
+        for _ in range(abs(ulps) if omega > 0.0 else 0):
+            omega = math.nextafter(omega, math.copysign(math.inf, ulps))
+    _assert_root(params, model, br, omega, invert_dispersion(br, omega))
+
+
+def test_invert_small_energy_to_an_ulp():
+    """At omega = 1e-9 on the Gaussian an absolute momentum tolerance of
+    1e-13 max(p_hi, 1) would leave a relative residual of about 1.5e-6."""
+    params, model = gaussian_setup(beta_nu=50.0)
+    br = first_branch(params, model, 1.0)
+    for omega in (1e-12, 1e-9, 1e-6):
+        p = invert_dispersion(br, omega)
+        assert abs(omega_bg(params, model, p) - omega) <= 2.0 * math.ulp(omega)
+
+
+def _count_inversion_cost(monkeypatch):
+    """Record the dispersion evaluations each inversion makes."""
+    evals = [0]
+    per_call = []
+    evaluate = bogoliubov._omega_and_slope
+    invert = bogoliubov.invert_dispersion
+
+    def counted_eval(*args):
+        evals[0] += 1
+        return evaluate(*args)
+
+    def counted_invert(*args):
+        before = evals[0]
+        p = invert(*args)
+        per_call.append(evals[0] - before)
+        return p
+
+    monkeypatch.setattr(bogoliubov, "_omega_and_slope", counted_eval)
+    monkeypatch.setattr(bogoliubov, "invert_dispersion", counted_invert)
+    monkeypatch.setattr(damping, "invert_dispersion", counted_invert)
+    return per_call
+
+
+def test_invert_costs_at_most_two_evaluations_on_readme_energies(monkeypatch):
+    """Every inversion of the README sweep (Gaussian v = 0.1, nine k from
+    1e-3 to 0.2, beta*nu = 50, 200, 1000) takes one or two evaluations of
+    the dispersion, so a slide into bisection shows."""
+    per_call = _count_inversion_cost(monkeypatch)
+    model = GaussianPotential(v=0.1, nu=1.0)
+    for bn in (50.0, 200.0, 1000.0):
+        params = make_params(nu=1.0, beta=bn, vhat0=model.vhat0)
+        for k in np.geomspace(1e-3, 0.2, 9):
+            damping.gamma_beliaev_quadrature(params, model, float(k))
+            damping.gamma_landau_quadrature(params, model, float(k))
+    assert len(per_call) > 10_000
+    assert max(per_call) <= 2
+    assert sum(per_call) <= 1.05 * len(per_call)
+
+
+def test_invert_costs_at_most_two_evaluations_across_a_branch(monkeypatch):
+    """Energies across the whole Gaussian branch, where roots lie between
+    the nodes, and a slow Newton step on a tabulated profile."""
+    params, model, brs = _invert_branches("gaussian")
+    per_call = _count_inversion_cost(monkeypatch)
+    for omega in np.linspace(brs[0].omega_min, brs[0].omega_max, 2001):
+        bogoliubov.invert_dispersion(brs[0], float(omega))
+    assert max(per_call) <= 2
+    # the profile's slope is a central difference; a stop rule that
+    # trusted it to the last bit would stop a step early here
+    params, model, brs = _invert_branches("dip")
+    omega = 1.038465430559586
+    _assert_root(params, model, brs[1], omega,
+                 bogoliubov.invert_dispersion(brs[1], omega))
+
+
+def test_invert_bisects_past_a_wrong_slope(monkeypatch):
+    """A slope of the wrong sign sends every Newton step out of the
+    bracket; bisection still lands on the root."""
+    model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    br = detect_branches(params, model, p_max=8.0)[0]
+    energies = (1e-6, 0.37, 5.0)
+    per_call = _count_inversion_cost(monkeypatch)
+    monkeypatch.setattr(GaussianPotential, "dvhat", lambda self, k: -1e9)
+    ps = [bogoliubov.invert_dispersion(br, omega) for omega in energies]
+    assert 2 < max(per_call) < bogoliubov._INVERT_MAXIT
+    monkeypatch.undo()
+    for omega, p in zip(energies, ps):
+        _assert_root(params, model, br, omega, p)
+
+
+def test_invert_raises_when_the_loop_runs_out(monkeypatch):
+    """A dispersion that evaluates to NaN never closes the bracket."""
+    model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    br = detect_branches(params, model, p_max=8.0)[0]
+    monkeypatch.setattr(GaussianPotential, "vhat", lambda self, k: math.nan)
+    with pytest.raises(AssumptionError, match="did not converge"):
+        invert_dispersion(br, 0.37)
 
 
 def test_branch_table_grows_to_cover_energy():

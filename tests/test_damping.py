@@ -273,16 +273,16 @@ def test_energy_path_falls_back_on_three_branch_model():
 def test_generic_scan_rate_bits_are_pinned():
     """Exact bits of one generic scan rate on the maxon table.
 
-    These are the bits the scan gave when every profile query went
-    through scipy; the scan now queries the profile through its scalar
-    path, so this pins that path end to end.
+    The scan queries the profile through its scalar path and locates its
+    conservation roots by the Newton inversion of the dispersion, so this
+    pins both end to end.
     """
     m = maxon_roton_table()
     res = gamma_beliaev_quadrature(make_params(1, 4, m.vhat0), m, 0.2)
     assert res.method == "generic_scan"
     assert res.converged is True
-    assert res.value == 2.9838577331237314e-06
-    assert res.abs_error == 2.587586099146735e-15
+    assert res.value == 2.9838577331268294e-06
+    assert res.abs_error == 2.5824986506399215e-15
 
 
 def test_generic_fallback_detects_support_once(monkeypatch):
