@@ -15,9 +15,10 @@ to about an ulp, usually in one dispersion evaluation.  branch_table
 picks p_max from the requested energy alone, so a table, and every rate
 computed on it, is a pure function of its arguments.
 
-energy_point is the one kernel for the per-energy quantities of the
-energy space rate integrals: the regularized coefficients, nu_x and the
-measure factor f.
+_coeffs is the one kernel of the Bogoliubov coefficients at a momentum,
+for floats and arrays alike.  energy_point is the one kernel for the
+per-energy quantities of the energy space rate integrals: the regularized
+coefficients, nu_x and the measure factor f.
 """
 from __future__ import annotations
 
@@ -157,14 +158,44 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
     return out
 
 
+def _coeffs(params, model, x):
+    """(s, c, 1/(c + s), vhat(x)/vhat0) at positive momenta x, no validation.
+
+    One vhat call: c = sqrt((E + omega)/(2 omega)) and s = |nu_x| /
+    sqrt(2 omega (E + omega)) with E = x^2/2 + nu_x; c - s is rationalized
+    as 1/(c + s) through c^2 - s^2 = 1.  A float x and an array x take the
+    same operation order, and math.sqrt and np.sqrt both round correctly,
+    so the two agree wherever the model's float and array profiles do.  A
+    float whose dispersion radicand is not positive raises AssumptionError.
+    """
+    vh = model.vhat(x)
+    v0 = model.vhat0
+    nk = params.nu * vh / v0
+    rad = x * x * (0.25 * x * x + nk)
+    if isinstance(x, np.ndarray):
+        sqrt = np.sqrt
+    elif rad > 0:
+        sqrt = math.sqrt
+    else:
+        raise AssumptionError(
+            f"dispersion radicand {rad} is not positive at k = {x}: "
+            f"nu_k = {nk}")
+    w = sqrt(rad)
+    E = 0.5 * x * x + nk
+    c = sqrt((E + w) / (2.0 * w))
+    s = abs(nk) / sqrt(2.0 * w * (E + w))
+    return s, c, 1.0 / (c + s), vh / v0
+
+
 def bogo_coeffs(params: GasParameters, model: PotentialModel, k: float):
     """Coefficients (s_k, c_k) of the quadratic diagonalisation at momentum k.
 
     Both diverge like 1/sqrt(k) as k -> 0; evaluation at k = 0 raises and
     points at the regularized energy space form, which absorbs that factor.
-    The stable evaluation uses c = sqrt((E + omega)/(2 omega)) and
-    s = |nu_k| / sqrt(2 omega (E + omega)) with E = k^2/2 + nu_k, which
-    equals sqrt(omega^2 + nu_k^2) identically.
+    Validates k and returns the first two entries of _coeffs, the kernel
+    the vertices and the Monte Carlo oracle share.  Its stable form of s
+    uses E = k^2/2 + nu_k, which equals sqrt(omega^2 + nu_k^2)
+    identically.
     """
     k = float(k)
     if not math.isfinite(k) or k < 0:
@@ -173,14 +204,7 @@ def bogo_coeffs(params: GasParameters, model: PotentialModel, k: float):
         raise SingularityError(
             "bogo_coeffs is singular at k = 0; use regularized_F for the "
             "energy space combination")
-    nk = params.nu * model.vhat(k) / model.vhat0
-    w = _omega_scalar(params, model, k)
-    if w == 0.0:
-        raise AssumptionError(f"dispersion vanishes at k = {k}")
-    E = 0.5 * k * k + nk
-    c = math.sqrt((E + w) / (2.0 * w))
-    s = abs(nk) / math.sqrt(2.0 * w * (E + w))
-    return s, c
+    return _coeffs(params, model, k)[:2]
 
 
 def occupation_rho(params: GasParameters, omega: float) -> float:

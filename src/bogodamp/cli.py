@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -303,10 +302,6 @@ def _resolve_grid(ns):
     return plist, ks, nu
 
 
-def _cmd_rate(ns, parser):
-    return _cmd_sweep(ns, parser)
-
-
 def _cmd_sweep(ns, parser):
     _merge_config(ns)
     plist, ks, nu = _resolve_grid(ns)
@@ -318,17 +313,10 @@ def _cmd_sweep(ns, parser):
     rc = _validate_or_die(ns, plist[0], model)
     if rc:
         return rc
-    jobs = ns.jobs if ns.jobs is not None else 1
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(p, k, m) for p in plist for k in ks for m in methods]
-    if jobs == 1:
-        results = [_point(p, model, k, m, rates, quad, ns) for (p, k, m) in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_point, p, model, k, m, rates, quad, ns)
-                    for (p, k, m) in tasks]
-            results = [f.result() for f in futs]
+    if ns.jobs is not None and ns.jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {ns.jobs}")
+    results = [_point(p, model, k, m, rates, quad, ns)
+               for p in plist for k in ks for m in methods]
     rows = [r for (r, _f) in results]
     failed = any(f for (_r, f) in results)
     _write(_render(rows, ROW_KEYS, ns.format or "csv"), ns.output)
@@ -477,7 +465,7 @@ def build_parser():
     _add_mc_args(p)
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     _add_out_args(p)
-    p.set_defaults(func=_cmd_rate)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sweep", help="parameter sweep over (k, beta)")
     _add_model_args(p)
@@ -487,7 +475,8 @@ def build_parser():
                    help="subset of quadrature,asymptotic,closed_form_regime,mc")
     _add_quad_args(p)
     _add_mc_args(p)
-    p.add_argument("--jobs", type=int, help="concurrent points (default 1)")
+    p.add_argument("--jobs", type=int,
+                   help="accepted for compatibility; points run serially")
     _add_out_args(p)
     p.set_defaults(func=_cmd_sweep)
 

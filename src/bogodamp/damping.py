@@ -289,6 +289,18 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
                         note="" if segments else "no conservation roots")
 
 
+def _integrate_pieces(f, pieces, quad):
+    """(value, error, all ok) of integrate_adaptive summed over (a, b) pieces."""
+    val = err = 0.0
+    ok = True
+    for (a, b) in pieces:
+        res = integrate_adaptive(f, a, b, quad)
+        val += res.value
+        err += res.error
+        ok = ok and res.ok
+    return val, err, ok
+
+
 def _empty_result(diag, support):
     return DampingResult(0.0, 0.0, "energy_quadrature", diag, support, True)
 
@@ -332,19 +344,11 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
     if support.convex_fastpath_ok:
         pieces = [(-w_k, w_k)]
     else:
-        pieces = []
-        for (pa, pb, _m) in support.segments:
-            ua = _omega_scalar(params, model, pa)
-            ub = _omega_scalar(params, model, pb)
-            pieces.append((2.0 * ua - w_k, 2.0 * ub - w_k))
+        pieces = [(2.0 * _omega_scalar(params, model, pa) - w_k,
+                   2.0 * _omega_scalar(params, model, pb) - w_k)
+                  for (pa, pb, _m) in support.segments]
 
-    val = err = 0.0
-    ok = True
-    for (ya, yb) in pieces:
-        res = integrate_adaptive(gy, ya, yb, quad)
-        val += res.value
-        err += res.error
-        ok = ok and res.ok
+    val, err, ok = _integrate_pieces(gy, pieces, quad)
     C = params.vhat0 / (128.0 * math.pi * params.nu * k * w_k)
     return DampingResult(C * val, C * err, "energy_quadrature", diag, support, ok)
 
@@ -389,15 +393,10 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
         W = math.exp(-t) * pref_w / ((-math.expm1(-t)) * (-math.expm1(-t - theta)))
         return F * F * pu[4] * pw[4] * W
 
-    val = err = 0.0
-    ok = True
-    for (pa, pb, _m) in support.segments:
-        ta = beta * _omega_scalar(params, model, pa)
-        tb = beta * _omega_scalar(params, model, pb)
-        res = integrate_adaptive(gt, ta, tb, quad)
-        val += res.value
-        err += res.error
-        ok = ok and res.ok
+    pieces = [(beta * _omega_scalar(params, model, pa),
+               beta * _omega_scalar(params, model, pb))
+              for (pa, pb, _m) in support.segments]
+    val, err, ok = _integrate_pieces(gt, pieces, quad)
     C = params.vhat0 / (32.0 * math.pi * params.nu * k * w_k * beta)
     if support.truncated:
         t_end = beta * top_u
@@ -463,13 +462,8 @@ def _generic_scan(params, model, k, process, quad, support):
             tot += q * jv * jv * wgt / slope
         return p * tot
 
-    val = err = 0.0
-    ok = True
-    for (pa, pb, _m) in support.segments:
-        res = integrate_adaptive(inner, pa, pb, quad)
-        val += res.value
-        err += res.error
-        ok = ok and res.ok
+    val, err, ok = _integrate_pieces(
+        inner, [(pa, pb) for (pa, pb, _m) in support.segments], quad)
     C = 1.0 / ((8.0 if beliaev else 4.0) * math.pi * k)
     if process == "landau" and support.truncated:
         pb = support.segments[-1][1]

@@ -1,11 +1,17 @@
 """Three quasiparticle interaction vertices, in momentum and in energy form.
 
 The momentum space vertices j and kappa carry the 1/sqrt(k) coefficient
-singularities of the small momentum limit.  In the energy variables those
-factors cancel: regularized_F(omega; u, w) is the combination
-sqrt(8 omega u w) sqrt(nu / vhat0) * j evaluated on shell, finite down to
-zero energy, vanishing exactly on the lines u = omega, w = 0 and
-u = 0, w = omega, and symmetric under swapping u and w as computed.
+singularities of the small momentum limit.  They read the Bogoliubov
+coefficients from bogoliubov._coeffs, one vhat call per momentum.  The
+three term formula of j is written once, in _j: vertex_j feeds it
+validated floats, and _j_arrays, the Monte Carlo oracle's entry, feeds it
+arrays, so the scan and the oracle evaluate the same vertex.
+
+In the energy variables the 1/sqrt(k) factors cancel: regularized_F(omega;
+u, w) is the combination sqrt(8 omega u w) sqrt(nu / vhat0) * j evaluated
+on shell, finite down to zero energy, vanishing exactly on the lines
+u = omega, w = 0 and u = 0, w = omega, and symmetric under swapping u and
+w as computed.
 
 The effective potentials V and U act on momentum vectors; their pair
 symmetrisation reproduces j and their six term alternating sum reproduces
@@ -17,22 +23,12 @@ import math
 
 import numpy as np
 
-from .bogoliubov import bogo_coeffs, energy_point, first_branch
+from .bogoliubov import _coeffs, energy_point, first_branch
 from .errors import DomainError, RangeError, SingularityError
 from .params import GasParameters
 from .potential import PotentialModel
 
 __all__ = ["vertex_j", "vertex_kappa", "eff_V", "eff_U", "regularized_F", "G_of"]
-
-
-def _shape(model, x):
-    return model.vhat(x) / model.vhat0
-
-
-def _cs(params, model, k):
-    # difference c - s rationalized through c^2 - s^2 = 1
-    s, c = bogo_coeffs(params, model, k)
-    return s, c, 1.0 / (c + s)
 
 
 def _positive(name, val):
@@ -42,6 +38,18 @@ def _positive(name, val):
             f"{name} must be a positive momentum, got {val}; zero momentum "
             "legs are handled by regularized_F")
     return val
+
+
+def _j(params, K, P, Q):
+    """j(k; p, q) from _coeffs tuples at k, p and q, floats or arrays."""
+    sk, ck, dk, shk = K
+    sp, cp, dp, shp = P
+    sq, cq, dq, shq = Q
+    pref = math.sqrt(params.nu * params.vhat0)
+    t1 = -shk * dk * (cp * sq + cq * sp)
+    t2 = shp * dp * (ck * cq + sk * sq)
+    t3 = shq * dq * (ck * cp + sk * sp)
+    return pref * (t1 + (t2 + t3))
 
 
 def vertex_j(params: GasParameters, model: PotentialModel,
@@ -54,14 +62,8 @@ def vertex_j(params: GasParameters, model: PotentialModel,
     k = _positive("k", k)
     p = _positive("p", p)
     q = _positive("q", q)
-    sk, ck, dk = _cs(params, model, k)
-    sp, cp, dp = _cs(params, model, p)
-    sq, cq, dq = _cs(params, model, q)
-    pref = math.sqrt(params.nu * params.vhat0)
-    t1 = -_shape(model, k) * dk * (cp * sq + cq * sp)
-    t2 = _shape(model, p) * dp * (ck * cq + sk * sq)
-    t3 = _shape(model, q) * dq * (ck * cp + sk * sp)
-    return pref * (t1 + (t2 + t3))
+    return _j(params, _coeffs(params, model, k), _coeffs(params, model, p),
+              _coeffs(params, model, q))
 
 
 def vertex_kappa(params: GasParameters, model: PotentialModel,
@@ -70,13 +72,13 @@ def vertex_kappa(params: GasParameters, model: PotentialModel,
     k = _positive("k", k)
     p = _positive("p", p)
     q = _positive("q", q)
-    sk, ck, dk = _cs(params, model, k)
-    sp, cp, dp = _cs(params, model, p)
-    sq, cq, dq = _cs(params, model, q)
+    sk, ck, dk, shk = _coeffs(params, model, k)
+    sp, cp, dp, shp = _coeffs(params, model, p)
+    sq, cq, dq, shq = _coeffs(params, model, q)
     pref = math.sqrt(params.nu * params.vhat0)
-    t1 = _shape(model, k) * dk * (cp * sq + cq * sp)
-    t2 = _shape(model, p) * dp * (ck * sq + sk * cq)
-    t3 = _shape(model, q) * dq * (cp * sk + sp * ck)
+    t1 = shk * dk * (cp * sq + cq * sp)
+    t2 = shp * dp * (ck * sq + sk * cq)
+    t3 = shq * dq * (cp * sk + sp * ck)
     return -pref * (t1 + (t2 + t3))
 
 
@@ -91,12 +93,11 @@ def eff_V(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
     p = _positive("|p|", float(np.linalg.norm(p_vec)))
     q = _positive("|q|", float(np.linalg.norm(q_vec)))
     r = _positive("|p+q|", float(np.linalg.norm(p_vec + q_vec)))
-    sp, cp, dp = _cs(params, model, p)
-    sq, cq, _ = _cs(params, model, q)
-    sr, cr, dr = _cs(params, model, r)
+    sp, cp, dp, shp = _coeffs(params, model, p)
+    sq, cq, _, _ = _coeffs(params, model, q)
+    sr, cr, dr, shr = _coeffs(params, model, r)
     pref = math.sqrt(params.nu * params.vhat0)
-    return pref * (_shape(model, p) * dp * (cq * cr + sq * sr)
-                   - _shape(model, r) * dr * sp * cq)
+    return pref * (shp * dp * (cq * cr + sq * sr) - shr * dr * sp * cq)
 
 
 def eff_U(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
@@ -110,11 +111,11 @@ def eff_U(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
     p = _positive("|p|", float(np.linalg.norm(p_vec)))
     q = _positive("|q|", float(np.linalg.norm(q_vec)))
     r = _positive("|p+q|", float(np.linalg.norm(p_vec + q_vec)))
-    sp, cp, _ = _cs(params, model, p)
-    sq, cq, _ = _cs(params, model, q)
-    sr, cr, _ = _cs(params, model, r)
+    sp, cp, _, shp = _coeffs(params, model, p)
+    sq, cq, _, _ = _coeffs(params, model, q)
+    sr, cr, _, _ = _coeffs(params, model, r)
     pref = math.sqrt(params.nu * params.vhat0)
-    return pref * _shape(model, p) * (cr * sp * sq - sr * cp * cq)
+    return pref * shp * (cr * sp * sq - sr * cp * cq)
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +176,15 @@ def G_of(params: GasParameters, model: PotentialModel, u: float, w: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# array evaluation for the Monte Carlo oracle
-
-
-def _cs_arrays(params, model, x):
-    """(c, s, c - s, shape, omega) arrays at positive momenta x."""
-    x = np.asarray(x, dtype=float)
-    sh = model.vhat(x) / model.vhat0
-    nk = params.nu * sh
-    w = np.sqrt(np.maximum(x * x * (0.25 * x * x + nk), 0.0))
-    E = 0.5 * x * x + nk
-    c = np.sqrt((E + w) / (2.0 * w))
-    s = np.abs(nk) / np.sqrt(2.0 * w * (E + w))
-    return c, s, 1.0 / (c + s), sh, w
+# the Monte Carlo oracle's entry to j
 
 
 def _j_arrays(params, model, k, p, q):
-    """vertex_j on arrays of momenta, no validation (Monte Carlo hot path)."""
-    ck, sk, dk, shk, _ = _cs_arrays(params, model, k)
-    cp, sp, dp, shp, _ = _cs_arrays(params, model, p)
-    cq, sq, dq, shq, _ = _cs_arrays(params, model, q)
-    pref = math.sqrt(params.nu * params.vhat0)
-    return pref * (-shk * dk * (cp * sq + cq * sp)
-                   + shp * dp * (ck * cq + sk * sq)
-                   + shq * dq * (ck * cp + sk * sp))
+    """vertex_j without validation, each momentum a float or an array.
+
+    The Monte Carlo oracle's hot path; it evaluates j by the same _j and
+    _coeffs as vertex_j, so on equal momenta the two agree wherever the
+    model's float and array profiles do.
+    """
+    return _j(params, _coeffs(params, model, k), _coeffs(params, model, p),
+              _coeffs(params, model, q))
