@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -313,10 +314,17 @@ def _cmd_sweep(ns, parser):
     rc = _validate_or_die(ns, plist[0], model)
     if rc:
         return rc
-    if ns.jobs is not None and ns.jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {ns.jobs}")
-    results = [_point(p, model, k, m, rates, quad, ns)
-               for p in plist for k in ks for m in methods]
+    jobs = ns.jobs if ns.jobs is not None else 1
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(p, model, k, m, rates, quad, ns)
+             for p in plist for k in ks for m in methods]
+    if jobs == 1:
+        results = [_point(*t) for t in tasks]
+    else:
+        # pays for Monte Carlo points, whose numpy work releases the GIL
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(lambda t: _point(*t), tasks))
     rows = [r for (r, _f) in results]
     failed = any(f for (_r, f) in results)
     _write(_render(rows, ROW_KEYS, ns.format or "csv"), ns.output)
@@ -475,8 +483,7 @@ def build_parser():
                    help="subset of quadrature,asymptotic,closed_form_regime,mc")
     _add_quad_args(p)
     _add_mc_args(p)
-    p.add_argument("--jobs", type=int,
-                   help="accepted for compatibility; points run serially")
+    p.add_argument("--jobs", type=int, help="concurrent points (default 1)")
     _add_out_args(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -64,7 +64,7 @@ def test_sweep_ordering_and_method_normalization(capsys):
 
 def test_jobs_do_not_change_output(capsys):
     args = ("sweep", "--k", "0.1,0.2,0.4", "--beta-nu", "5,50",
-            "--methods", "quadrature,asymptotic")
+            "--methods", "quadrature,asymptotic,mc", "--samples", "20000")
     rc1, out1 = run(capsys, *args, "--jobs", "1")
     rc4, out4 = run(capsys, *args, "--jobs", "4")
     assert rc1 == rc4 == 0
