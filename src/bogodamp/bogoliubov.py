@@ -1,9 +1,10 @@
 """Quasiparticle dispersion, its branches, and the quadratic coefficients.
 
-The dispersion is omega(k) = sqrt(k^4/4 + nu_k k^2) with the momentum
-dependent interaction energy nu_k = nu vhat(k)/vhat(0).  Only the shape of
-the potential enters here; the amplitude vhat0 carried by GasParameters
-multiplies rates, not energies.
+The dispersion is omega(k) = k sqrt(k^2/4 + nu_k) with the momentum
+dependent interaction energy nu_k = nu vhat(k)/vhat(0), and its slope is
+omega'(k) = nu NP(k) / sqrt(k^2/4 + nu_k) with the slope function NP of
+potential._np_slope.  Only the shape of the potential enters here; the
+amplitude vhat0 carried by GasParameters multiplies rates, not energies.
 
 For potentials whose profile dips (maxon and roton style tables) the
 dispersion is no longer monotone, so inversion from energy to momentum has
@@ -15,16 +16,18 @@ to about an ulp, usually in one dispersion evaluation.  branch_table
 picks p_max from the requested energy alone, so a table, and every rate
 computed on it, is a pure function of its arguments.
 
-_coeffs is the one kernel of the Bogoliubov coefficients at a momentum,
-for floats and arrays alike.  energy_point is the one kernel for the
+Each formula is written once, for floats and arrays alike, in one
+operation order: _dispersion holds omega, _omega_and_slope its slope,
+_coeffs the Bogoliubov coefficients at a momentum, and energy_point the
 per-energy quantities of the energy space rate integrals: the regularized
-coefficients, nu_x and the measure factor f.
+coefficients, nu_x and the measure factor f.  math.sqrt and np.sqrt both
+round correctly, so a float and an array agree bit for bit wherever the
+model's float and array profiles do.
 """
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -35,7 +38,7 @@ from .errors import (AssumptionError, DivergenceError, DomainError,
                      SingularityError, SingularMeasureError)
 from .numerics import QuadratureSpec, QuadResult, integrate_adaptive
 from .params import GasParameters
-from .potential import PotentialModel
+from .potential import PotentialModel, _np_slope
 
 __all__ = [
     "omega_bg",
@@ -52,110 +55,77 @@ __all__ = [
 ]
 
 
-# Smallest normal float: below it k * k and the radicand lose precision.
-_TINY = sys.float_info.min
+def _dispersion(k, nk):
+    """(omega, r) at momenta k >= 0 with nu_k = nk: r = sqrt(k^2/4 + nk).
 
-
-def _nu_of(params, model, k):
-    return params.nu * model.vhat(k) / model.vhat0
+    omega = k r keeps k out of the radicand, so it stays accurate where
+    k * k underflows.  The radicand is nu > 0 at k = 0; one that is not
+    positive raises AssumptionError, and a NaN passes through.
+    """
+    inner = 0.25 * k * k + nk
+    if isinstance(inner, np.ndarray):
+        bad = inner <= 0.0
+        if bad.any():
+            raise AssumptionError(
+                f"dispersion radicand negative or zero at k = {k[bad][0]}")
+        r = np.sqrt(inner, out=inner)
+    elif not inner <= 0.0:
+        r = math.sqrt(inner)
+    else:
+        raise AssumptionError(
+            f"dispersion radicand negative or zero at k = {k}: nu_k = {nk}")
+    return k * r, r
 
 
 def _omega_scalar(params, model, k):
-    """Dispersion at one momentum, no input validation (hot path)."""
-    nk = params.nu * model.vhat(k) / model.vhat0
-    rad = k * k * (0.25 * k * k + nk)
-    if rad < 0:
-        raise AssumptionError(
-            f"dispersion radicand negative at k = {k}: nu_k = {nk}")
-    return math.sqrt(rad)
+    """omega(k) at a float or an array k >= 0, no validation (hot path)."""
+    return _dispersion(k, params.nu * model.vhat(k) / model.vhat0)[0]
+
+
+def _omega_and_slope(params, model, k):
+    """(omega(k), omega'(k)) at a float or an array k >= 0, no validation.
+
+    One vhat and one dvhat call; the slope is nu NP(k) / sqrt(k^2/4 + nu_k),
+    with the k -> 0 limit sqrt(nu) taken exactly at k = 0.
+    """
+    nu, v0 = params.nu, model.vhat0
+    vh = model.vhat(k)
+    w, r = _dispersion(k, nu * vh / v0)
+    slope = nu * _np_slope(nu, v0, k, vh, model.dvhat(k)) / r
+    if isinstance(slope, np.ndarray):
+        return w, np.where(k == 0.0, math.sqrt(nu), slope)
+    return w, (math.sqrt(nu) if k == 0.0 else slope)
+
+
+def _checked(k):
+    """k as a float or a float array; DomainError unless finite and >= 0."""
+    if type(k) is not float:
+        arr = np.asarray(k, dtype=float)
+        if arr.ndim:
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise DomainError("k must be finite and >= 0")
+            return arr
+        k = float(arr)
+    if not (math.isfinite(k) and k >= 0):
+        raise DomainError("k must be finite and >= 0")
+    return k
 
 
 def omega_bg(params: GasParameters, model: PotentialModel, k):
     """Quasiparticle energy omega(k), scalar or array, k >= 0."""
-    arr = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("k must be finite and >= 0")
-    if arr.ndim == 0:
-        return _omega_scalar(params, model, float(arr))
-    nk = _nu_of(params, model, arr)
-    rad = arr * arr * (0.25 * arr * arr + nk)
-    if np.any(rad < 0):
-        i = int(np.argmax(rad < 0))
-        raise AssumptionError(
-            f"dispersion radicand negative at k = {arr.flat[i]}")
-    return np.sqrt(rad)
-
-
-def _omega_and_slope(params, model, k):
-    """Dispersion and group velocity at one momentum k >= 0.
-
-    One vhat and one dvhat call.  The slope is computed in omega_bg_prime's
-    array operation order; the energy equals _omega_scalar's bit for bit
-    except below k ~ 1e-154, where k * k is subnormal and _omega_scalar
-    loses precision, but this returns k sqrt(k^2/4 + nu_k).
-    """
-    nu = params.nu
-    if k == 0.0:
-        return 0.0, math.sqrt(nu)
-    v0 = model.vhat0
-    vh = model.vhat(k)
-    dvh = model.dvhat(k)
-    npk = k * k / (2.0 * nu) + vh / v0 + k * dvh / (2.0 * v0)
-    rad = k * k * (0.25 * k * k + nu * vh / v0)
-    if rad < 0:
-        raise AssumptionError("dispersion radicand negative inside slope evaluation")
-    if rad < _TINY or k * k < _TINY:
-        # k * k is subnormal below k ~ 1e-154: omega = k sqrt(inner), and
-        # k cancels from the slope
-        inner = 0.25 * k * k + nu * vh / v0
-        if inner > 0:
-            root = math.sqrt(inner)
-            return k * root, nu / root * npk
-        raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
-    w = math.sqrt(rad)
-    return w, nu * k / w * npk
+    return _omega_scalar(params, model, _checked(k))
 
 
 def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
-    """Group velocity d omega / dk.
+    """Group velocity d omega / dk, scalar or array, k >= 0.
 
-    Equal to (nu k / omega) * NP(k) with the slope function
-    NP(k) = k^2/(2 nu) + vhat(k)/vhat0 + k vhat'(k)/(2 vhat0); the k -> 0
-    limit sqrt(nu) is taken explicitly.  A scalar k is evaluated in plain
-    Python from the model's scalar vhat and dvhat, as omega_bg does, in
-    the array path's operation order: for the tabulated and flat cutoff
-    profiles, whose scalar and array evaluations agree bit for bit, the
-    two paths do too.  (The Gaussian's scalar profile uses math.exp and
-    can differ from its array profile in the last bit.)
+    Equal to nu NP(k) / sqrt(k^2/4 + nu_k) with the slope function
+    NP(k) = k^2/(2 nu) + vhat(k)/vhat0 + k vhat'(k)/(2 vhat0), which is
+    (nu k / omega) NP(k) with k cancelled, so it keeps full precision down
+    to subnormal k; at k = 0 it is sqrt(nu) exactly.  A 0-d input returns
+    a float.
     """
-    arr = np.asarray(k, dtype=float)
-    if arr.ndim == 0:
-        k = float(arr)
-        if not math.isfinite(k) or k < 0:
-            raise DomainError("k must be finite and >= 0")
-        return _omega_and_slope(params, model, k)[1]
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise DomainError("k must be finite and >= 0")
-    nu, v0 = params.nu, model.vhat0
-    vh = np.asarray(model.vhat(arr), dtype=float)
-    dvh = np.asarray(model.dvhat(arr), dtype=float)
-    npk = arr * arr / (2.0 * nu) + vh / v0 + arr * dvh / (2.0 * v0)
-    rad = arr * arr * (0.25 * arr * arr + nu * vh / v0)
-    if np.any(rad < 0):
-        raise AssumptionError("dispersion radicand negative inside slope evaluation")
-    w = np.sqrt(rad)
-    pos = arr > 0
-    under = pos & ((rad < _TINY) | (arr * arr < _TINY))
-    # k * k is subnormal below k ~ 1e-154: omega = k sqrt(inner), and k
-    # cancels from the slope
-    inner = 0.25 * arr[under] ** 2 + nu * vh[under] / v0
-    if np.any(inner <= 0):
-        raise AssumptionError("dispersion vanishes at k > 0, slope undefined")
-    out = np.full(arr.shape, math.sqrt(nu))
-    pos &= ~under
-    out[pos] = nu * arr[pos] / w[pos] * npk[pos]
-    out[under] = nu / np.sqrt(inner) * npk[under]
-    return out
+    return _omega_and_slope(params, model, _checked(k))[1]
 
 
 def _coeffs(params, model, x):
@@ -164,23 +134,20 @@ def _coeffs(params, model, x):
     One vhat call: c = sqrt((E + omega)/(2 omega)) and s = |nu_x| /
     sqrt(2 omega (E + omega)) with E = x^2/2 + nu_x; c - s is rationalized
     as 1/(c + s) through c^2 - s^2 = 1.  A float x and an array x take the
-    same operation order, and math.sqrt and np.sqrt both round correctly,
-    so the two agree wherever the model's float and array profiles do.  A
-    float whose dispersion radicand is not positive raises AssumptionError.
+    same operation order.  A float whose dispersion vanishes raises
+    AssumptionError.
     """
     vh = model.vhat(x)
     v0 = model.vhat0
     nk = params.nu * vh / v0
-    rad = x * x * (0.25 * x * x + nk)
+    w = _dispersion(x, nk)[0]
     if isinstance(x, np.ndarray):
         sqrt = np.sqrt
-    elif rad > 0:
+    elif w > 0:
         sqrt = math.sqrt
     else:
         raise AssumptionError(
-            f"dispersion radicand {rad} is not positive at k = {x}: "
-            f"nu_k = {nk}")
-    w = sqrt(rad)
+            f"dispersion vanishes at k = {x}: nu_k = {nk}")
     E = 0.5 * x * x + nk
     c = sqrt((E + w) / (2.0 * w))
     s = abs(nk) / sqrt(2.0 * w * (E + w))
@@ -232,7 +199,8 @@ class DispersionBranch:
     __slots__ = ("params", "model", "index", "p_lo", "p_hi", "omega_lo",
                  "omega_hi", "increasing", "_asc_w", "_asc_p", "_asc_d")
 
-    def __init__(self, params, model, index, p_nodes, w_nodes, increasing):
+    def __init__(self, params, model, index, p_nodes, w_nodes, d_nodes,
+                 increasing):
         self.params = params
         self.model = model
         self.index = index
@@ -241,7 +209,6 @@ class DispersionBranch:
         self.omega_lo = float(w_nodes[0])
         self.omega_hi = float(w_nodes[-1])
         self.increasing = bool(increasing)
-        d_nodes = omega_bg_prime(params, model, p_nodes)
         step = 1 if increasing else -1
         self._asc_p = p_nodes[::step].tolist()
         self._asc_w = w_nodes[::step].tolist()
@@ -291,9 +258,6 @@ def detect_branches(params: GasParameters, model: PotentialModel,
             "dispersion is not increasing at small momentum; curvature "
             "condition at the origin violated")
 
-    def dw(p):
-        return float(omega_bg_prime(params, model, p))
-
     stationary = []
     flips = np.nonzero(np.sign(der[:-1]) * np.sign(der[1:]) < 0)[0]
     for i in flips:
@@ -301,7 +265,7 @@ def detect_branches(params: GasParameters, model: PotentialModel,
         flo = float(der[i])
         while hi - lo > 1e-8 * rt:
             mid = 0.5 * (lo + hi)
-            fm = dw(mid)
+            fm = _omega_and_slope(params, model, mid)[1]
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -317,7 +281,7 @@ def detect_branches(params: GasParameters, model: PotentialModel,
     branches = []
     for j in range(len(bounds) - 1):
         nodes = np.linspace(bounds[j], bounds[j + 1], 1025)
-        w = omega_bg(params, model, nodes)
+        w, slopes = _omega_and_slope(params, model, nodes)
         increasing = j % 2 == 0
         d = np.diff(w)
         tol = 1e-12 * max(float(np.max(w)), rt)
@@ -325,7 +289,8 @@ def detect_branches(params: GasParameters, model: PotentialModel,
             raise AssumptionError(
                 f"branch {j} of the dispersion is not monotone; stationary "
                 "point detection failed for this model")
-        branches.append(DispersionBranch(params, model, j, nodes, w, increasing))
+        branches.append(DispersionBranch(params, model, j, nodes, w, slopes,
+                                         increasing))
     return branches
 
 
@@ -461,24 +426,25 @@ def energy_point(params: GasParameters, model: PotentialModel,
 
     Returns (c, s, c - s, nu_x, f) at the momentum p(x): c^2 - s^2 = 2x
     exactly, the difference is rationalized as 2x/(c + s) so it vanishes
-    bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, and f is the measure
-    factor of measure_factor_f.
+    bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, and f = 1/(nu NP(p)) is
+    the measure factor of measure_factor_f.
     """
     p = invert_dispersion(branch, x)
     nu = params.nu
     v0 = model.vhat0
-    nu_x = nu * (model.vhat(p) / v0)
+    vh = model.vhat(p)
+    nu_x = nu * (vh / v0)
     E = 0.5 * p * p + nu_x
     c = math.sqrt(E + x)
     s = abs(nu_x) / c
-    denom = E + 0.5 * nu * p * model.dvhat(p) / v0
+    npk = _np_slope(nu, v0, p, vh, model.dvhat(p))
     # branch boundaries are located to about 1e-8 sqrt(nu) in momentum, so
     # a query at a stationary endpoint sees a slope of that size, not zero
-    if abs(denom) < 1e-7 * nu:
+    if abs(npk) < 1e-7:
         raise SingularMeasureError(
             f"measure factor singular at u = {x} (p = {p}): dispersion "
             "slope vanishes")
-    return c, s, 2.0 * x / (c + s), nu_x, 1.0 / denom
+    return c, s, 2.0 * x / (c + s), nu_x, 1.0 / (nu * npk)
 
 
 def measure_factor_f(params: GasParameters, model: PotentialModel,
@@ -509,7 +475,7 @@ def ground_state_energy_density(params: GasParameters, model: PotentialModel,
     def g0(k):
         nk = nu * model.vhat(k) / v0
         D = 0.5 * k * k + nk
-        w = _omega_scalar(params, model, k)
+        w = _dispersion(k, nk)[0]
         return k * k * nk * nk / (D + w)
 
     hint = model.support_hint()

@@ -283,10 +283,21 @@ def _validate_or_die(ns, params, model):
     return 0
 
 
+def _amplitude(ns, model):
+    """The rate amplitude: --vhat0, else the model's own vhat(0).
+
+    A profile whose vhat(0) is not positive fails assumption A3; it gets
+    amplitude 1, so that the assumption report, not a parameter error,
+    says so.
+    """
+    if ns.vhat0 is not None:
+        return ns.vhat0
+    return model.vhat0 if model.vhat0 > 0 else 1.0
+
+
 def _resolve_grid(ns):
-    """(params list over beta, k list in raw units, nu)."""
+    """(params list over beta, k list in raw units, model)."""
     nu = ns.nu if ns.nu is not None else 1.0
-    vhat0 = ns.vhat0 if ns.vhat0 is not None else 1.0
     if ns.beta_nu is None:
         raise ParameterError("missing beta values: --beta-nu or config key beta_nu")
     if ns.k is None:
@@ -299,14 +310,15 @@ def _resolve_grid(ns):
     else:
         betas = sorted(b / nu for b in bvals)
         ks = sorted(kd * math.sqrt(nu) for kd in kvals)
+    model = _build_model(ns, nu)
+    vhat0 = _amplitude(ns, model)
     plist = [make_params(nu, b, vhat0) for b in betas]
-    return plist, ks, nu
+    return plist, ks, model
 
 
 def _cmd_sweep(ns, parser):
     _merge_config(ns)
-    plist, ks, nu = _resolve_grid(ns)
-    model = _build_model(ns, nu)
+    plist, ks, model = _resolve_grid(ns)
     rates = _parse_subset(ns.rates or "total", RATE_NAMES, "rates")
     methods = _parse_subset(ns.methods or "quadrature", METHOD_ORDER, "methods")
     methods = tuple(m for m in METHOD_ORDER if m in methods)
@@ -334,10 +346,9 @@ def _cmd_sweep(ns, parser):
 def _cmd_validate(ns, parser):
     _merge_config(ns)
     nu = ns.nu if ns.nu is not None else 1.0
-    vhat0 = ns.vhat0 if ns.vhat0 is not None else 1.0
     bn = float(ns.beta_nu) if ns.beta_nu is not None else 1.0
-    params = make_params(nu, bn / nu, vhat0)
     model = _build_model(ns, nu)
+    params = make_params(nu, bn / nu, _amplitude(ns, model))
     report = validate_assumptions(model, params)
     if (ns.format or "text") == "json":
         payload = {
@@ -378,11 +389,10 @@ def _cmd_specfun(ns, parser):
 
 def _cmd_oracle(ns, parser):
     _merge_config(ns)
-    plist, ks, nu = _resolve_grid(ns)
+    plist, ks, model = _resolve_grid(ns)
     if len(plist) != 1 or len(ks) != 1:
         raise ParameterError("oracle takes a single beta value and a single k")
     params, k = plist[0], ks[0]
-    model = _build_model(ns, nu)
     rc = _validate_or_die(ns, params, model)
     if rc:
         return rc
@@ -420,7 +430,8 @@ def _add_model_args(p):
     p.add_argument("--potential", help="gaussian, flat or tabulated")
     p.add_argument("--nu", type=float, help="interaction energy scale (default 1)")
     p.add_argument("--vhat0", type=float,
-                   help="zero momentum interaction amplitude (default 1)")
+                   help="rate amplitude vhat(0) (default: the profile's "
+                        "own vhat(0); 1 for the flat profile)")
     p.add_argument("--v", type=float,
                    help="gaussian profile amplitude (default 0.1 nu)")
     p.add_argument("--cutoff", "--lambda", dest="cutoff", type=float,

@@ -8,11 +8,10 @@ negative arguments never appear; callers pass magnitudes.
 
 The shape of a model (vhat normalised by its value at zero) is what enters
 the dispersion; the overall amplitude of the rates is carried separately
-by GasParameters.vhat0.  Keeping the two consistent is the caller's job.
-The command line front end ties them only for the flat profile, whose
-amplitude is its --vhat0; for the other profiles --vhat0 defaults to 1
-whatever the model's own vhat0 (0.1 nu for the default Gaussian), so CLI
-rates for that model are ten times the library's with vhat0 = model.vhat0.
+by GasParameters.vhat0.  Keeping the two consistent is the caller's job;
+the library examples pass vhat0 = model.vhat0.  The command line front end
+does the same unless --vhat0 overrides it (for the flat profile --vhat0
+sets the model's amplitude as well), so its rates equal the library's.
 """
 from __future__ import annotations
 
@@ -397,15 +396,16 @@ def default_probe_grid(model: PotentialModel, params: GasParameters, n: int = 51
     return np.concatenate(([0.0], ks))
 
 
-def _np_slope(model, params, k):
-    """nu * NP(k) / nu: the dimensionless group slope function.
+def _np_slope(nu, v0, k, vh, dvh):
+    """The slope function NP(k) = k^2/(2 nu) + vhat(k)/vhat0 + k vhat'(k)/(2 vhat0).
 
-    NP(k) = k^2/(2 nu) + vhat(k)/vhat0 + k vhat'(k)/(2 vhat0); its zeros
-    are the stationary points of the dispersion.
+    Takes vh = vhat(k) and dvh = vhat'(k), so a caller that needs them
+    anyway makes no extra profile call; k is a float or an array.  The
+    zeros of NP are the stationary points of the dispersion:
+    omega'(k) = nu NP(k) / sqrt(k^2/4 + nu_k), and the energy space measure
+    factor is d(p^2)/d(u^2) = 1/(nu NP(p)).
     """
-    v0 = model.vhat0
-    return (np.square(k) / (2.0 * params.nu) + model.vhat(k) / v0
-            + k * model.dvhat(k) / (2.0 * v0))
+    return k * k / (2.0 * nu) + vh / v0 + k * dvh / (2.0 * v0)
 
 
 def validate_assumptions(model: PotentialModel, params: GasParameters,
@@ -518,8 +518,10 @@ def validate_assumptions(model: PotentialModel, params: GasParameters,
     # no-plateau condition on the slope function: finitely many sign
     # changes and a positive floor at large momentum
     if v0 > 0:
-        interior = probe[probe > 0]
-        npk = np.asarray(_np_slope(model, params, interior), dtype=float)
+        pos = probe > 0
+        interior = probe[pos]
+        npk = np.asarray(_np_slope(nu, v0, interior, vh[pos],
+                                   model.dvhat(interior)), dtype=float)
         signs = np.sign(npk)
         flips = int(np.sum(signs[:-1] * signs[1:] < 0))
         floor = float(npk[-1])

@@ -122,17 +122,19 @@ def eff_U(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
 # energy space form
 
 
-def F_terms(O, a, b):
-    """The three terms of F from energy_point tuples at omega, u and w.
+def _F(O, a, b):
+    """F(omega; u, w) from energy_point tuples at omega, u and w.
 
-    F(omega; u, w) is their sum; callers choose the summation order.
+    Summed as t1 + (t2 + t3), which is exactly symmetric under swapping
+    the tuples a and b.
     """
     cO, sO, dO, nO, _ = O
     ca, sa, da, na, _ = a
     cb, sb, db, nb, _ = b
-    return (-nO * dO * (ca * sb + cb * sa),
-            na * da * (cO * cb + sO * sb),
-            nb * db * (cO * ca + sO * sa))
+    t1 = -nO * dO * (ca * sb + cb * sa)
+    t2 = na * da * (cO * cb + sO * sb)
+    t3 = nb * db * (cO * ca + sO * sa)
+    return t1 + (t2 + t3)
 
 
 def regularized_F(params: GasParameters, model: PotentialModel,
@@ -159,11 +161,9 @@ def regularized_F(params: GasParameters, model: PotentialModel,
         raise RangeError(
             f"energy {need} beyond the first branch, which tops out at "
             f"{branch.omega_max}")
-    t1, t2, t3 = F_terms(energy_point(params, model, branch, omega),
-                         energy_point(params, model, branch, u),
-                         energy_point(params, model, branch, w))
-    # t1 + (t2 + t3) keeps F exactly symmetric under swapping u and w
-    return t1 + (t2 + t3)
+    return _F(energy_point(params, model, branch, omega),
+              energy_point(params, model, branch, u),
+              energy_point(params, model, branch, w))
 
 
 def G_of(params: GasParameters, model: PotentialModel, u: float, w: float) -> float:

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogodamp import bogoliubov, damping
@@ -81,6 +81,15 @@ def _prime_scalar_and_array(params, model, k):
     return got, float(omega_bg_prime(params, model, np.array([k]))[0])
 
 
+def _assert_scalar_is_array(params, model, k):
+    """omega and its slope at a float k, bit for bit as at [k]."""
+    for f in (omega_bg, omega_bg_prime):
+        got = f(params, model, k)
+        assert type(got) is float
+        want = float(f(params, model, np.array([k]))[0])
+        assert got.hex() == want.hex(), (f.__name__, k)
+
+
 def _near(x):
     return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf),
             x * (1.0 - 1e-9), x * (1.0 + 1e-9), x - 1e-6, x + 1e-6]
@@ -91,8 +100,7 @@ def test_omega_prime_scalar_bitwise_flat_cutoff():
     params = make_params(nu=0.7, beta=10.0, vhat0=model.vhat0)
     points = _near(1.5) + _near(3.0) + list(np.linspace(0.01, 6.0, 200))
     for k in map(float, points):
-        got, want = _prime_scalar_and_array(params, model, k)
-        assert got.hex() == want.hex(), k
+        _assert_scalar_is_array(params, model, k)
 
 
 def test_omega_prime_scalar_bitwise_maxon_stationary_points():
@@ -104,8 +112,7 @@ def test_omega_prime_scalar_bitwise_maxon_stationary_points():
     points = [k for p in stationary for k in _near(p)]
     points += list(np.linspace(0.01, model.k_max, 300))
     for k in map(float, points):
-        got, want = _prime_scalar_and_array(params, model, k)
-        assert got.hex() == want.hex(), k
+        _assert_scalar_is_array(params, model, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,6 +129,17 @@ def test_omega_prime_scalar_gaussian(k):
         assert got.hex() == want.hex()
     else:
         assert abs(got - want) <= 4.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("k", [1e-158, 1e-170])
+def test_omega_where_k_squared_underflows(k):
+    """omega = k sqrt(k^2/4 + nu_k) keeps k out of the radicand, so it is
+    k sqrt(nu_k) to 1e-14 where k * k is subnormal (1e-158) or 0 (1e-170)."""
+    params, model = gaussian_setup(beta_nu=10.0, nu=2.0)
+    want = k * math.sqrt(params.nu * model.vhat(k) / model.vhat0)
+    assert omega_bg(params, model, k) == pytest.approx(want, rel=1e-14, abs=0)
+    got = omega_bg(params, model, np.array([k, 1e-3]))
+    assert got[0] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_omega_prime_where_k_squared_underflows():
@@ -304,15 +322,14 @@ def _assert_root(params, model, br, omega, p):
        where=st.sampled_from(["inside", "low_edge", "high_edge", "tiny"]),
        x=st.floats(0.0, 1.0), ulps=st.integers(-4, 4))
 def test_invert_to_an_ulp_on_every_branch(name, j, where, x, ulps):
-    """Energies inside each branch, within a few ulp of its edges (the
-    stationary tops and the roton minimum among them), and down to
-    1e-12 nu on the branch rising from zero."""
+    """Energies anywhere inside each branch (subnormal ones included on
+    the branch rising from zero), within a few ulp of its edges (the
+    stationary tops and the roton minimum among them), and log-uniform
+    from 1e-12 nu to 1e-3 nu on the branch rising from zero."""
     params, model, brs = _invert_branches(name)
     br = brs[j % len(brs)]
     if where == "inside":
         omega = br.omega_min + x * (br.omega_max - br.omega_min)
-        # below about 1e-154 omega_bg loses precision to a subnormal k * k
-        assume(omega == 0.0 or omega >= 1e-12 * params.nu)
     elif where == "tiny":
         br = brs[0]
         omega = 10.0 ** (-12.0 + 9.0 * x) * params.nu
@@ -426,6 +443,51 @@ def test_branch_table_grows_to_cover_energy():
     for b, a in zip(before, after):
         assert np.array_equal(a._asc_p, b._asc_p)
         assert np.array_equal(a._asc_w, b._asc_w)
+
+
+class _CountingVhat:
+    """Delegates to a model and counts its vhat calls, floats and arrays apart."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"float": 0, "array": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def vhat(self, k):
+        self.calls["array" if np.ndim(k) else "float"] += 1
+        return self.inner.vhat(k)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "maxon_roton", "dip"])
+def test_branch_table_makes_one_array_vhat_call_per_branch(name):
+    """One call on the scan grid, then one per branch: the node energies
+    and slopes come from one kernel call."""
+    inner = INVERT_MODELS[name]
+    model = _CountingVhat(inner)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    brs = detect_branches(params, model, p_max=getattr(inner, "k_max", 8.0))
+    assert model.calls["array"] == 1 + len(brs)
+
+
+def test_ground_energy_makes_one_vhat_call_per_node(monkeypatch):
+    model = _CountingVhat(GaussianPotential(v=0.4, nu=1.0))
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    nodes = [0]
+    integrate = bogoliubov.integrate_adaptive
+
+    def counted(f, a, b, spec):
+        def g(k):
+            nodes[0] += 1
+            return f(k)
+        return integrate(g, a, b, spec)
+
+    monkeypatch.setattr(bogoliubov, "integrate_adaptive", counted)
+    assert ground_state_energy_density(params, model).ok
+    # three decay probes, then the quadrature's nodes
+    assert nodes[0] > 100
+    assert model.calls == {"float": 3 + nodes[0], "array": 0}
 
 
 def test_measure_factor_flat():

@@ -34,8 +34,8 @@ def test_rate_header_and_values(capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2
     cells = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
-    params = make_params(nu=1.0, beta=10.0, vhat0=1.0)
     model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
     assert float(cells["gamma_B"]) == pytest.approx(
         gamma_beliaev_quadrature(params, model, 0.3).value, rel=1e-12)
     assert float(cells["gamma_L"]) == pytest.approx(
@@ -279,14 +279,23 @@ def test_closed_form_regime_method(capsys):
     assert rc == 0
     row = out.strip().split("\n")[1].split(",")
     assert row[4] == "closed_form_regime"
-    params = make_params(nu=1.0, beta=10.0, vhat0=1.0)
     model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
     from bogodamp.damping import gamma_beliaev_asymptotic
     want = gamma_beliaev_asymptotic(params, model, 0.01, "high_T")
     assert float(row[5]) == pytest.approx(want, rel=1e-12)
 
 
 def test_golden_sweep_bytes(tmp_path, capsys):
+    """The sweep's CSV output, byte for byte.
+
+    An output change made on purpose is declared in CHANGES.md, and the
+    file is regenerated from the repository root with
+
+        PYTHONPATH=src python -m bogodamp sweep --v 0.1 --k 1e-3,0.05 \\
+            --beta-nu 50,2000 --methods quadrature,asymptotic \\
+            --rates beliaev,landau,total -o tests/data/golden_sweep.csv
+    """
     rc, out = run(capsys, "sweep", "--v", "0.1", "--k", "1e-3,0.05",
                   "--beta-nu", "50,2000", "--methods", "quadrature,asymptotic",
                   "--rates", "beliaev,landau,total")

@@ -281,8 +281,8 @@ def test_generic_scan_rate_bits_are_pinned():
     res = gamma_beliaev_quadrature(make_params(1, 4, m.vhat0), m, 0.2)
     assert res.method == "generic_scan"
     assert res.converged is True
-    assert res.value == 2.9838577331268294e-06
-    assert res.abs_error == 2.5824986506399215e-15
+    assert res.value == 2.9838577331267397e-06
+    assert res.abs_error == 2.582477447526809e-15
 
 
 def test_generic_fallback_detects_support_once(monkeypatch):
