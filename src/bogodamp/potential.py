@@ -177,20 +177,49 @@ class FlatCutoffPotential(PotentialModel):
         return self.Lambda
 
 
+def _pchip_slopes(h, m):
+    """Node slopes of the monotone cubic through data with spacings h and
+    secant slopes m (Fritsch and Butland, 1984), at least three nodes.
+
+    An interior slope is the weighted harmonic mean of the two secants,
+    or 0 where they differ in sign or one vanishes; the end slopes come
+    from the one sided three point formula, limited to keep the shape
+    (Moler, Numerical Computing with MATLAB, 2004).  The operations and
+    their order are scipy's PchipInterpolator._find_derivatives.
+    """
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros(m.size + 1)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        de = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(de) != np.sign(m0):
+            de = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(de) > 3.0 * abs(m0):
+            de = 3.0 * m0
+        d[end] = de
+    return d
+
+
 class TabulatedPotential(PotentialModel):
     """Profile given by samples on an ascending grid starting at k = 0.
 
-    Interpolation is monotone piecewise cubic, which preserves shape and
-    is C1; queries beyond the last grid point raise instead of
+    Interpolation is monotone piecewise cubic (PCHIP), which preserves
+    shape and is C1; queries beyond the last grid point raise instead of
     extrapolating.  The derivative is taken by centred finite differences
     with step max(1e-6, 1e-6 k), one sided at the grid edges, so it stays
     honest about what the table actually pins down.
 
-    Array queries go through scipy's PchipInterpolator.  Scalar queries
-    (the hot path of the momentum scan) evaluate the same piecewise
-    polynomial from its coefficients in plain Python, locating the
-    interval and summing the terms exactly as scipy's PPoly does, so
-    they are bit-identical to the array path.
+    The cubic coefficients are built as scipy's PchipInterpolator and
+    CubicHermiteSpline build them, and _pchip evaluates floats and arrays
+    alike as scipy's PPoly does: the interval is the last one whose left
+    knot is <= k, and the terms are summed lowest power first.  Floats,
+    arrays and scipy's interpolant therefore agree bit for bit.
     """
 
     kind = "tabulated"
@@ -208,73 +237,77 @@ class TabulatedPotential(PotentialModel):
             raise ParameterError(f"grid must start at 0, got {grid[0]}")
         if np.any(np.diff(grid) <= 0):
             raise ParameterError("grid must be strictly increasing")
-        # imported here so that importing the package for the analytic
-        # profiles does not load scipy.interpolate
-        from scipy.interpolate import PchipInterpolator
 
         self.grid = grid
         self.values = values
-        self._interp = PchipInterpolator(grid, values, extrapolate=False)
         self.k_max = float(grid[-1])
         self._vhat0 = float(values[0])
-        # breakpoints and per-interval coefficients (highest power first)
-        # of the interpolant, for the scalar path
-        self._knots = self._interp.x.tolist()
-        self._coef = list(zip(*self._interp.c.tolist()))
+        # cubic Hermite coefficients per interval, highest power first
+        h = np.diff(grid)
+        m = np.diff(values) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], values[:-1]))
+        # the same, as Python floats for float queries
+        self._knots = grid.tolist()
+        self._coef = list(zip(*self._c.tolist()))
         self._last = len(self._coef) - 1
 
     @property
     def vhat0(self):
         return self._vhat0
 
-    def _bounds(self, k):
+    def _checked(self, k):
+        """k as a float or a float array in [0, k_max (1 + 1e-12)]; NaN
+        passes through."""
+        if type(k) is float or np.ndim(k) == 0:
+            k = float(k)
+            if k < 0:
+                raise DomainError("vhat takes k >= 0")
+            if k > self.k_max * (1.0 + 1e-12):
+                raise ExtrapolationError(
+                    f"k = {k} beyond tabulated range [0, {self.k_max}]")
+            return k
+        k = np.asarray(k, dtype=float)
         if np.any(k < 0):
             raise DomainError("vhat takes k >= 0")
         if np.any(k > self.k_max * (1.0 + 1e-12)):
             bad = float(np.max(k))
             raise ExtrapolationError(
                 f"k = {bad} beyond tabulated range [0, {self.k_max}]")
-
-    def _scalar(self, k):
-        """One query as a float, with the range checks of _bounds."""
-        k = float(k)
-        if k < 0:
-            raise DomainError("vhat takes k >= 0")
-        if k > self.k_max * (1.0 + 1e-12):
-            raise ExtrapolationError(
-                f"k = {k} beyond tabulated range [0, {self.k_max}]")
         return k
 
     def _pchip(self, k):
-        """Interpolant at one k in [0, k_max], in scipy's PPoly arithmetic.
+        """Interpolant at min(k, k_max) for a float or an array k >= 0.
 
-        The interval is the last one whose left knot is <= k, closed on
-        the right at k_max; the cubic is summed lowest power first with
-        running powers of s, as scipy's evaluate_poly1 does.
+        The last interval is closed on the right at k_max; the cubic is
+        summed lowest power first with running powers of s, as scipy's
+        evaluate_poly1 does.
         """
-        i = bisect_right(self._knots, k) - 1
-        if i > self._last:
-            i = self._last
-        c0, c1, c2, c3 = self._coef[i]
-        s = k - self._knots[i]
+        if type(k) is float:
+            i = bisect_right(self._knots, k) - 1
+            if i > self._last:
+                # k >= k_max, or NaN
+                i = self._last
+                if k > self.k_max:
+                    k = self.k_max
+            c0, c1, c2, c3 = self._coef[i]
+            s = k - self._knots[i]
+        else:
+            k = np.minimum(k, self.k_max)
+            i = np.minimum(np.searchsorted(self.grid, k, side="right") - 1,
+                           self._last)
+            c0, c1, c2, c3 = self._c.take(i, axis=1)
+            s = k - self.grid.take(i)
         z = s * s
         return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
 
     def vhat(self, k):
-        if type(k) is float or np.ndim(k) == 0:
-            k = self._scalar(k)
-            if k != k:
-                return k
-            return self._pchip(k if k < self.k_max else self.k_max)
-        arr = np.asarray(k, dtype=float)
-        self._bounds(arr)
-        return self._interp(np.minimum(arr, self.k_max))
+        return self._pchip(self._checked(k))
 
     def dvhat(self, k):
-        if type(k) is float or np.ndim(k) == 0:
-            k = self._scalar(k)
-            if k != k:
-                return k
+        k = self._checked(k)
+        if type(k) is float:
             h = 1e-6 * k
             if h < 1e-6:
                 h = 1e-6
@@ -284,13 +317,11 @@ class TabulatedPotential(PotentialModel):
             hi = k + h
             if hi > self.k_max:
                 hi = self.k_max
-            return (self._pchip(hi) - self._pchip(lo)) / (hi - lo)
-        arr = np.asarray(k, dtype=float)
-        self._bounds(arr)
-        h = np.maximum(1e-6, 1e-6 * arr)
-        lo = np.maximum(arr - h, 0.0)
-        hi = np.minimum(arr + h, self.k_max)
-        return (self._interp(hi) - self._interp(lo)) / (hi - lo)
+        else:
+            h = np.maximum(1e-6, 1e-6 * k)
+            lo = np.maximum(k - h, 0.0)
+            hi = np.minimum(k + h, self.k_max)
+        return (self._pchip(hi) - self._pchip(lo)) / (hi - lo)
 
     def d2vhat0(self):
         h = min(1e-4 * self.k_max, 0.5 * float(self.grid[1]))

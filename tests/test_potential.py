@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from bogodamp.errors import DomainError, ExtrapolationError, ParameterError
 from bogodamp.params import make_params
@@ -88,6 +90,7 @@ def test_tabulated_roundtrip_and_bounds():
         t.vhat(-0.2)
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 TABLES = {"maxon": maxon_roton_table(), "concave": concave_table()}
 
 
@@ -143,6 +146,30 @@ def test_tabulated_scalar_bounds_and_nan():
             assert str(scalar.value) == str(array.value)
         assert math.isnan(method(math.nan))
         assert math.isnan(method(np.array([math.nan]))[0])
+
+
+@pytest.mark.parametrize("name", ["maxon", "dip_profile"])
+def test_tabulated_matches_scipy_pchip(name):
+    """vhat and dvhat, floats and arrays, equal in every bit what scipy's
+    PchipInterpolator gives on the same table, k = k_max included."""
+    if name == "maxon":
+        model = TABLES["maxon"]
+    else:
+        model = load_tabulated(os.path.join(DATA, "dip_profile.dat"))
+    ref = PchipInterpolator(model.grid, model.values, extrapolate=False)
+    grid = model.grid
+    ks = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]),
+                         np.random.default_rng(3).random(500) * model.k_max,
+                         [model.k_max, model.k_max * (1.0 + 1e-12)]])
+    want = ref(np.minimum(ks, model.k_max))
+    h = np.maximum(1e-6, 1e-6 * ks)
+    lo = np.maximum(ks - h, 0.0)
+    hi = np.minimum(ks + h, model.k_max)
+    dwant = (ref(hi) - ref(lo)) / (hi - lo)
+    for method, expect in ((model.vhat, want), (model.dvhat, dwant)):
+        assert method(ks).tobytes() == expect.tobytes()
+        floats = np.array([method(float(k)) for k in ks])
+        assert floats.tobytes() == expect.tobytes()
 
 
 def test_tabulated_validation_errors():

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from bogodamp.errors import DomainError
 from bogodamp.specfun import (BELIAEV_I_SWITCH, beliaev_I, beliaev_I_closed,
@@ -40,6 +41,16 @@ def test_zeta_values():
     assert zeta(3) == pytest.approx(1.2020569, abs=5e-8)
     assert zeta(4) == pytest.approx(1.0823232, abs=5e-8)
     assert zeta(4) == pytest.approx(math.pi ** 4 / 90.0, rel=1e-14)
+
+
+def test_zeta_matches_scipy():
+    """The table is exactly scipy's doubles; the direct series stays
+    within an ulp of them."""
+    for n in range(2, 10):
+        assert zeta(n).hex() == float(special.zeta(n)).hex(), n
+    for n in range(10, 41):
+        want = float(special.zeta(n))
+        assert abs(zeta(n) - want) <= math.ulp(want), n
 
 
 def test_zeta_rejects():
