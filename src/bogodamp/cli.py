@@ -19,7 +19,7 @@ import numpy as np
 
 from .damping import (gamma_beliaev_asymptotic, gamma_beliaev_quadrature,
                       gamma_landau_asymptotic, gamma_landau_quadrature,
-                      mc_oracle, select_regime)
+                      MC_MIN_SAMPLES, mc_oracle, select_regime)
 from .bogoliubov import _omega_scalar
 from .errors import (AssumptionError, BogodampError, DomainError,
                      ParameterError)
@@ -170,6 +170,24 @@ def _quad_spec(ns):
     return QuadratureSpec(**kw) if kw else QuadratureSpec()
 
 
+def _mc_options(ns):
+    """mc_oracle's (epsilon, n_samples, seed) from --epsilon, --samples
+    and --seed.
+
+    Checked up front, so a bad value is a usage error (exit 1) and not a
+    row of numerical failures.  Callers pass the triple positionally, as
+    perfbench's recorder expects.
+    """
+    eps = ns.epsilon
+    if eps is not None and not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"epsilon must be finite and > 0, got {eps!r}")
+    n = ns.samples if ns.samples is not None else 1_000_000
+    if n < MC_MIN_SAMPLES:
+        raise ParameterError(f"samples must be >= {MC_MIN_SAMPLES}, got {n}")
+    seed = ns.seed if ns.seed is not None else 1234
+    return eps, n, seed
+
+
 def _fmt_cell(x):
     if x is None:
         return ""
@@ -195,11 +213,12 @@ def _render(rows, cols, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _point(params, model, k, method, rates, quad, ns):
+def _point(params, model, k, method, rates, quad, mc):
     """One sweep point.  Returns (row, failed).
 
-    Every rate is a pure function of (params, model, k, quad), so points
-    share params and model and the output does not depend on task order.
+    Every rate is a pure function of (params, model, k, quad, mc), so
+    points share params and model and the output does not depend on task
+    order.
     """
     nu = params.nu
     kdim = k / math.sqrt(nu)
@@ -247,15 +266,12 @@ def _point(params, model, k, method, rates, quad, ns):
                 row["gamma_L_err"] = 0.0
             row["method"] = "closed_form_regime"
         elif method == "mc":
-            seed = ns.seed if ns.seed is not None else 1234
-            n = ns.samples if ns.samples is not None else 1_000_000
-            eps = getattr(ns, "epsilon", None)
             if want_b:
                 gb, row["gamma_B_err"] = mc_oracle(
-                    params, model, k, "beliaev", eps, n, seed)
+                    params, model, k, "beliaev", *mc)
             if want_l:
                 gl, row["gamma_L_err"] = mc_oracle(
-                    params, model, k, "landau", eps, n, seed)
+                    params, model, k, "landau", *mc)
             row["method"] = "monte_carlo"
         else:
             raise ParameterError(f"unknown method {method!r}")
@@ -323,13 +339,14 @@ def _cmd_sweep(ns, parser):
     methods = _parse_subset(ns.methods or "quadrature", METHOD_ORDER, "methods")
     methods = tuple(m for m in METHOD_ORDER if m in methods)
     quad = _quad_spec(ns)
+    mc = _mc_options(ns)
     rc = _validate_or_die(ns, plist[0], model)
     if rc:
         return rc
     jobs = ns.jobs if ns.jobs is not None else 1
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(p, model, k, m, rates, quad, ns)
+    tasks = [(p, model, k, m, rates, quad, mc)
              for p in plist for k in ks for m in methods]
     if jobs == 1:
         results = [_point(*t) for t in tasks]
@@ -393,18 +410,17 @@ def _cmd_oracle(ns, parser):
     if len(plist) != 1 or len(ks) != 1:
         raise ParameterError("oracle takes a single beta value and a single k")
     params, k = plist[0], ks[0]
+    quad = _quad_spec(ns)
+    mc = _mc_options(ns)
     rc = _validate_or_die(ns, params, model)
     if rc:
         return rc
-    quad = _quad_spec(ns)
-    seed = ns.seed if ns.seed is not None else 1234
-    n = ns.samples if ns.samples is not None else 1_000_000
     processes = ((ns.process,) if ns.process else ("beliaev", "landau"))
     rows = []
     failed = False
     for proc in processes:
         try:
-            est, err = mc_oracle(params, model, k, proc, ns.epsilon, n, seed)
+            est, err = mc_oracle(params, model, k, proc, *mc)
             if proc == "beliaev":
                 ref = gamma_beliaev_quadrature(params, model, k, quad)
             else:

@@ -627,6 +627,35 @@ def _mc_thermal_landau(beta, wk, wp, wq):
     return np.exp(2.0 * m - beta * (wk + wp + wq)) * num * num / den
 
 
+# Fewest samples mc_oracle accepts; the CLI checks --samples against it.
+MC_MIN_SAMPLES = 10_000
+# Samples per counter-keyed stream chunk: fixes which numbers are drawn.
+_MC_CHUNK = 1_000_000
+# Samples evaluated at once: keeps temporaries in cache, draws nothing.
+_MC_BLOCK = 1 << 16
+# Guide-table bins of the Landau CDF lookup; a power of two, so u * G is exact.
+_GUIDE_BINS = 1 << 16
+
+
+def _cdf_index(cum, guide, u):
+    """np.searchsorted(cum, u, side="right") - 1 through a guide table.
+
+    cum ascends with cum[-1] > max(u), u lies in [0, 1), and guide[j] =
+    searchsorted(cum, j / G, "right") - 1 for j = 0..G with G = len(guide)
+    - 1 a power of two (Chen & Asau, 1974).  Then b = int(u G) is exact
+    and the answer lies in [guide[b], guide[b + 1]]: one comparison
+    settles bins that span at most one node, and draws in wider bins
+    fall back to a binary search of their own.
+    """
+    b = (u * (len(guide) - 1)).astype(np.intp)
+    lo = guide[b]
+    idx = lo + (cum[lo + 1] <= u)
+    wide = np.flatnonzero(guide[b + 1] - lo > 1)
+    if wide.size:
+        idx[wide] = np.searchsorted(cum, u[wide], side="right") - 1
+    return idx
+
+
 def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
               process: str, epsilon: float | None = None,
               n_samples: int = 1_000_000, seed: int = 1234):
@@ -635,9 +664,13 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     The conservation delta is mollified by a Gaussian of width epsilon
     (default 1e-3 omega(k)), the partner momentum is sampled uniformly in
     a ball for decay and with a radial thermal importance density for
-    absorption, and the stream is counter based: fixed chunks of 1e6
-    samples keyed by (seed, chunk), so results are bit reproducible for a
-    given (seed, n_samples) regardless of scheduling.
+    absorption.  The stream is counter based: chunks of 1e6 samples keyed
+    by (seed, chunk) define which numbers are drawn, so results are bit
+    reproducible for a given (seed, n_samples) regardless of scheduling.
+    Each chunk is evaluated in blocks of 2^16 samples that only bound the
+    temporaries; the sums run over whole chunks, so the block size moves
+    no bit.  The absorption radius is drawn by an exact CDF lookup (a
+    guide table, equal to a binary search).
 
     Returns (estimate, stderr).
     """
@@ -645,14 +678,14 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     if process not in ("beliaev", "landau"):
         raise ParameterError(f"process must be beliaev or landau, got {process!r}")
     n_samples = int(n_samples)
-    if n_samples < 10_000:
-        raise ParameterError(f"n_samples must be >= 10000, got {n_samples}")
+    if n_samples < MC_MIN_SAMPLES:
+        raise ParameterError(
+            f"n_samples must be >= {MC_MIN_SAMPLES}, got {n_samples}")
     w_k = _omega_scalar(params, model, k)
     eps = float(epsilon) if epsilon is not None else 1e-3 * w_k
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError(f"epsilon must be positive, got {eps}")
     beta = params.beta
-    chunk = 1_000_000
 
     if process == "beliaev":
         b = first_branch(params, model, w_k + 5.0 * eps)
@@ -660,22 +693,19 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         vol = 4.0 * math.pi / 3.0 * R ** 3
         pref = 1.0 / (16.0 * math.pi ** 2)
 
-        def values(rng, m):
-            u = rng.random((2, m))
+        def values(u, g):
             r = R * np.cbrt(u[0])
             cth = 2.0 * u[1] - 1.0
             q = np.sqrt(np.maximum(r * r + k * k - 2.0 * r * k * cth, 0.0))
             wr = omega_bg(params, model, r)
             wq = omega_bg(params, model, q)
             z = (w_k - wr - wq) / eps
-            g = np.zeros(m)
             sel = (np.abs(z) < 39.0) & (q > 0) & (r > 0)
             if np.any(sel):
                 jv = _j_arrays(params, model, k, r[sel], q[sel])
                 delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
                 T = _mc_thermal_beliaev(beta, w_k, wr[sel], wq[sel])
                 g[sel] = vol * jv * jv * delta * T
-            return g
     else:
         t_cap = max(T_CUT, beta * w_k + 40.0) + 10.0
         u_cap = t_cap / beta
@@ -688,11 +718,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                                   * np.minimum(omega_bg(params, model, nodes), 1400.0 / beta))
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (wts[1:] + wts[:-1]) * dx)))
         cum /= cum[-1]
+        guide = np.searchsorted(cum, np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS,
+                                side="right") - 1
 
-        def values(rng, m):
-            u = rng.random((2, m))
-            idx = np.searchsorted(cum, u[0], side="right") - 1
-            idx = np.clip(idx, 0, len(nodes) - 2)
+        def values(u, g):
+            # cum[-1] == 1 > u, so idx <= len(nodes) - 2 and span > 0
+            idx = _cdf_index(cum, guide, u[0])
             span = cum[idx + 1] - cum[idx]
             r = nodes[idx] + (u[0] - cum[idx]) / span * dx
             pdf = span / dx
@@ -701,7 +732,6 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
             wr = omega_bg(params, model, r)
             wq = omega_bg(params, model, q)
             z = (wq - wr - w_k) / eps
-            g = np.zeros(m)
             sel = (np.abs(z) < 39.0) & (q > 0) & (r > 0)
             if np.any(sel):
                 jv = _j_arrays(params, model, q[sel], r[sel], k)
@@ -709,21 +739,23 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                 T = _mc_thermal_landau(beta, w_k, wr[sel], wq[sel])
                 g[sel] = (4.0 * math.pi * r[sel] ** 2 / pdf[sel]
                           * jv * jv * delta * T)
-            return g
 
     total = 0.0
     total_sq = 0.0
     done = 0
-    idx = 0
+    chunk = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_MC_CHUNK, n_samples - done)
         rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, idx], dtype=np.uint64)))
-        g = values(rng, m)
+            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
+        u = rng.random((2, m))
+        g = np.zeros(m)
+        for s in range(0, m, _MC_BLOCK):
+            values(u[:, s:s + _MC_BLOCK], g[s:s + _MC_BLOCK])
         total += float(np.sum(g))
-        total_sq += float(np.sum(g * g))
+        total_sq += float(np.sum(np.square(g, out=g)))
         done += m
-        idx += 1
+        chunk += 1
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     est = pref * mean

@@ -6,7 +6,8 @@ import pytest
 
 from bogodamp.bogoliubov import omega_bg
 from bogodamp.cli import CSV_HEADER, main
-from bogodamp.damping import gamma_beliaev_quadrature, gamma_landau_quadrature
+from bogodamp.damping import (MC_MIN_SAMPLES, gamma_beliaev_quadrature,
+                              gamma_landau_quadrature)
 from bogodamp.params import make_params
 from bogodamp.potential import GaussianPotential
 from bogodamp.specfun import beliaev_I, landau_Gk
@@ -271,6 +272,35 @@ def test_mc_method_rows(capsys):
     row = out1.strip().split("\n")[1].split(",")
     assert row[4] == "monte_carlo"
     assert float(row[6]) > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--k", "0.3", "--beta-nu", "10", "--samples", "5"),
+    ("oracle", "--k", "0.3", "--beta-nu", "10", "--epsilon", "-1"),
+    ("oracle", "--k", "0.3", "--beta-nu", "10", "--epsilon", "nan"),
+    ("sweep", "--k", "0.3", "--beta-nu", "10", "--methods", "mc",
+     "--samples", "5"),
+    ("rate", "--k", "0.3", "--beta-nu", "10", "--methods", "mc",
+     "--epsilon", "0"),
+])
+def test_bad_monte_carlo_arguments_exit_1(capsys, argv):
+    # a usage error, not rows of numerical failures with exit code 3
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().split("\n")) == 1
+
+
+def test_fewest_monte_carlo_samples_accepted(capsys):
+    rc, out = run(capsys, "rate", "--k", "0.3", "--beta-nu", "10",
+                  "--methods", "mc", "--rates", "landau",
+                  "--samples", str(MC_MIN_SAMPLES))
+    assert rc == 0
+    rc, _ = run(capsys, "rate", "--k", "0.3", "--beta-nu", "10",
+                "--methods", "mc", "--rates", "landau",
+                "--samples", str(MC_MIN_SAMPLES - 1))
+    assert rc == 1
 
 
 def test_closed_form_regime_method(capsys):
