@@ -229,8 +229,13 @@ class DispersionBranch:
                 f"{self.omega_max:g}], {arrow})")
 
 
+# group velocity samples of the branch scan, geometric over
+# [1e-7 p_max, p_max]
+_BRANCH_SCAN_POINTS = 4096
+
+
 def detect_branches(params: GasParameters, model: PotentialModel,
-                    p_max: float, n_scan: int = 4096) -> list[DispersionBranch]:
+                    p_max: float) -> list[DispersionBranch]:
     """Split [0, p_max] into monotone branches of the dispersion.
 
     Scans the group velocity on a geometric grid, refines each sign change
@@ -242,7 +247,7 @@ def detect_branches(params: GasParameters, model: PotentialModel,
     if not (math.isfinite(p_max) and p_max > 0):
         raise ParameterError(f"p_max must be positive and finite, got {p_max}")
     rt = math.sqrt(params.nu)
-    grid = np.geomspace(p_max * 1e-7, p_max, n_scan)
+    grid = np.geomspace(p_max * 1e-7, p_max, _BRANCH_SCAN_POINTS)
     der = omega_bg_prime(params, model, grid)
 
     run = 0
@@ -488,8 +493,7 @@ def ground_state_energy_density(params: GasParameters, model: PotentialModel,
             f"{K:g}, {2*K:g}, {4*K:g}")
 
     scale = max(math.sqrt(2.0 * nu), (hint / 4.0) if math.isfinite(hint) else 0.0)
-    tm = quad.tail_map if quad.tail_map != "none" else "rational"
-    spec_used = replace(quad, tail_map=tm, tail_scale=scale)
+    spec_used = replace(quad, tail_scale=scale)
     upper = getattr(model, "k_max", math.inf)
     res = integrate_adaptive(g0, 0.0, upper, spec_used)
     c = 1.0 / (4.0 * math.pi ** 2)

@@ -2,10 +2,15 @@
 special function tables and the Monte Carlo cross check.
 
 Inputs are dimensionless by default (k/sqrt(nu), beta*nu); --raw switches
-to raw momentum and inverse temperature.  Output is CSV or JSON with a
-fixed column set, deterministic for a fixed configuration including
-seeds.  Exit codes: 0 success, 1 usage or config error, 2 assumption
-validation failure, 3 numerical failure at one or more points.
+to raw momentum and inverse temperature.  A `--config` file holds
+`key = value` lines whose keys are the long flag names; they are parsed
+by argparse like the flags, which override them.  Output is CSV or JSON
+with a fixed column set, deterministic for a fixed configuration
+including seeds.  Every rate of `rate`, `sweep` and `oracle` comes from
+one dispatch, `_rate`; a quadrature rate that did not converge, or whose
+error bar is not below its value, is an `error` cell, never a number.
+Exit codes: 0 success, 1 usage or config error, 2 assumption validation
+failure, 3 numerical failure at one or more points.
 """
 from __future__ import annotations
 
@@ -33,21 +38,28 @@ CSV_HEADER = ("k,k_over_sqrt_nu,beta_nu,theta,method,"
               "gamma_B,gamma_B_err,gamma_L,gamma_L_err,total")
 ROW_KEYS = CSV_HEADER.split(",")
 METHOD_ORDER = ("quadrature", "asymptotic", "closed_form_regime", "mc")
-RATE_NAMES = ("beliaev", "landau", "total")
+PROCESSES = ("beliaev", "landau")
+RATE_NAMES = PROCESSES + ("total",)
 
-_FLOAT_KEYS = {"nu", "vhat0", "v", "cutoff", "rel_tol", "abs_tol", "epsilon"}
-_INT_KEYS = {"seed", "samples", "jobs"}
 _BOOL_KEYS = {"raw", "skip_validation"}
-_STR_KEYS = {"potential", "table", "beta_nu", "k", "rates", "methods",
-             "output", "format", "theta", "process"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+class _UsageError(ParameterError):
+    """A usage error, with the (sub)parser that found it."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract here wants 1."""
+    """Raises usage errors, so that main can tell a bad flag (exit 1
+    after the usage line) from a bad config file value (a config error)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self, message)
 
 
 def _fail(message, code):
@@ -55,13 +67,19 @@ def _fail(message, code):
     return code
 
 
-def _read_config(path):
-    out = {}
+def _config_tokens(path, keys):
+    """A `key = value` file as the flags it stands for.
+
+    Each key is the long flag name with or without its dashes and must be
+    one of `keys`; `key = value` becomes `--key=value`, and a boolean key
+    becomes the bare flag when true and nothing when false.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,41 +88,29 @@ def _read_config(path):
             raise ParameterError(
                 f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
+        key, val = key.strip().replace("-", "_"), val.strip()
+        if key not in keys:
+            raise ParameterError(f"unknown config key: {key}")
+        flag = "--" + key.replace("_", "-")
+        if key in _BOOL_KEYS:
+            if val.lower() not in _BOOL_WORDS:
+                raise ParameterError(f"config key {key}: not a boolean: {val!r}")
+            if _BOOL_WORDS[val.lower()]:
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={val}")
+    return tokens
 
 
-def _coerce(key, sval):
-    if key in _FLOAT_KEYS:
-        try:
-            return float(sval)
-        except ValueError:
-            raise ParameterError(f"config key {key}: not a number: {sval!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(sval)
-        except ValueError:
-            raise ParameterError(f"config key {key}: not an integer: {sval!r}")
-    if key in _BOOL_KEYS:
-        low = sval.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ParameterError(f"config key {key}: not a boolean: {sval!r}")
-    if key in _STR_KEYS:
-        return sval
-    raise ParameterError(f"unknown config key: {key}")
-
-
-def _merge_config(ns):
-    if getattr(ns, "config", None):
-        cfg = _read_config(ns.config)
-        for key, sval in cfg.items():
-            if getattr(ns, key, None) is None and hasattr(ns, key):
-                setattr(ns, key, _coerce(key, sval))
-            elif not hasattr(ns, key):
-                raise ParameterError(f"unknown config key: {key}")
+def _with_config(parser, ns, argv):
+    """Re-parse `argv` with the config file's flags put before its own,
+    so that flags given on the command line override the file."""
+    keys = set(vars(ns)) - {"command", "func", "config"}
+    tokens = _config_tokens(ns.config, keys)
+    try:
+        return parser.parse_args([ns.command, *tokens, *argv[1:]])
+    except _UsageError as exc:
+        raise ParameterError(f"config {ns.config}: {exc}") from None
 
 
 def _parse_values(text, name):
@@ -162,12 +168,8 @@ def _build_model(ns, nu):
 
 
 def _quad_spec(ns):
-    kw = {}
-    if getattr(ns, "rel_tol", None) is not None:
-        kw["rel_tol"] = ns.rel_tol
-    if getattr(ns, "abs_tol", None) is not None:
-        kw["abs_tol"] = ns.abs_tol
-    return QuadratureSpec(**kw) if kw else QuadratureSpec()
+    return QuadratureSpec(**{key: getattr(ns, key) for key in ("rel_tol", "abs_tol")
+                             if getattr(ns, key) is not None})
 
 
 def _mc_options(ns):
@@ -213,12 +215,42 @@ def _render(rows, cols, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _rate(method, params, model, k, process, quad, mc):
+    """One rate by one method: (value, error, label).
+
+    The rate functions are looked up as module globals at call time, so
+    that wrapping them here (as perfbench does) sees every call.  A
+    quadrature rate that did not converge, or whose error bar is not
+    below its value on a non-empty support, raises instead of returning
+    a number.
+    """
+    if method == "quadrature":
+        fn = (gamma_beliaev_quadrature if process == "beliaev"
+              else gamma_landau_quadrature)
+        r = fn(params, model, k, quad)
+        if not r.converged or (r.support.segments
+                               and not r.abs_error < abs(r.value)):
+            raise BogodampError(
+                f"{process} rate by {r.method} is not usable: {r.value!r} "
+                f"+- {r.abs_error!r}, converged={r.converged}")
+        return r.value, r.abs_error, r.method
+    if method == "mc":
+        est, err = mc_oracle(params, model, k, process, *mc)
+        return est, err, "monte_carlo"
+    regime = ("full" if method == "asymptotic"
+              else select_regime(params, model, k, process))
+    fn = (gamma_beliaev_asymptotic if process == "beliaev"
+          else gamma_landau_asymptotic)
+    return fn(params, model, k, regime), 0.0, method
+
+
 def _point(params, model, k, method, rates, quad, mc):
     """One sweep point.  Returns (row, failed).
 
     Every rate is a pure function of (params, model, k, quad, mc), so
     points share params and model and the output does not depend on task
-    order.
+    order.  The row's method is the label the rates share, or
+    generic_scan when the two quadrature rates took different routes.
     """
     nu = params.nu
     kdim = k / math.sqrt(nu)
@@ -228,57 +260,18 @@ def _point(params, model, k, method, rates, quad, mc):
     row["k_over_sqrt_nu"] = kdim
     row["beta_nu"] = bn
     row["method"] = method
-    want_b = "beliaev" in rates or "total" in rates
-    want_l = "landau" in rates or "total" in rates
     try:
-        w_k = _omega_scalar(params, model, k)
-        row["theta"] = params.beta * w_k
-        gb = gl = None
-        if method == "quadrature":
-            labels = []
-            if want_b:
-                rb = gamma_beliaev_quadrature(params, model, k, quad)
-                gb, row["gamma_B_err"] = rb.value, rb.abs_error
-                labels.append(rb.method)
-            if want_l:
-                rl = gamma_landau_quadrature(params, model, k, quad)
-                gl, row["gamma_L_err"] = rl.value, rl.abs_error
-                labels.append(rl.method)
-            if labels:
-                row["method"] = (labels[0] if all(x == labels[0] for x in labels)
-                                 else "generic_scan")
-        elif method == "asymptotic":
-            if want_b:
-                gb, row["gamma_B_err"] = gamma_beliaev_asymptotic(
-                    params, model, k, "full"), 0.0
-            if want_l:
-                gl, row["gamma_L_err"] = gamma_landau_asymptotic(
-                    params, model, k, "full"), 0.0
-            row["method"] = "asymptotic"
-        elif method == "closed_form_regime":
-            if want_b:
-                gb = gamma_beliaev_asymptotic(
-                    params, model, k, select_regime(params, model, k, "beliaev"))
-                row["gamma_B_err"] = 0.0
-            if want_l:
-                gl = gamma_landau_asymptotic(
-                    params, model, k, select_regime(params, model, k, "landau"))
-                row["gamma_L_err"] = 0.0
-            row["method"] = "closed_form_regime"
-        elif method == "mc":
-            if want_b:
-                gb, row["gamma_B_err"] = mc_oracle(
-                    params, model, k, "beliaev", *mc)
-            if want_l:
-                gl, row["gamma_L_err"] = mc_oracle(
-                    params, model, k, "landau", *mc)
-            row["method"] = "monte_carlo"
-        else:
-            raise ParameterError(f"unknown method {method!r}")
-        row["gamma_B"] = gb
-        row["gamma_L"] = gl
-        if "total" in rates and gb is not None and gl is not None:
-            row["total"] = gb + gl
+        row["theta"] = params.beta * _omega_scalar(params, model, k)
+        labels = []
+        for process, col in (("beliaev", "gamma_B"), ("landau", "gamma_L")):
+            if process in rates or "total" in rates:
+                row[col], row[col + "_err"], label = _rate(
+                    method, params, model, k, process, quad, mc)
+                labels.append(label)
+        row["method"] = (labels[0] if all(x == labels[0] for x in labels)
+                         else "generic_scan")
+        if "total" in rates:
+            row["total"] = row["gamma_B"] + row["gamma_L"]
         return row, False
     except BogodampError as exc:
         print(f"error at k/sqrt(nu)={kdim!r}, beta*nu={bn!r}, "
@@ -332,8 +325,7 @@ def _resolve_grid(ns):
     return plist, ks, model
 
 
-def _cmd_sweep(ns, parser):
-    _merge_config(ns)
+def _cmd_sweep(ns):
     plist, ks, model = _resolve_grid(ns)
     rates = _parse_subset(ns.rates or "total", RATE_NAMES, "rates")
     methods = _parse_subset(ns.methods or "quadrature", METHOD_ORDER, "methods")
@@ -360,8 +352,7 @@ def _cmd_sweep(ns, parser):
     return 3 if failed else 0
 
 
-def _cmd_validate(ns, parser):
-    _merge_config(ns)
+def _cmd_validate(ns):
     nu = ns.nu if ns.nu is not None else 1.0
     bn = float(ns.beta_nu) if ns.beta_nu is not None else 1.0
     model = _build_model(ns, nu)
@@ -387,8 +378,7 @@ def _cmd_validate(ns, parser):
     return 0 if report.passed else 2
 
 
-def _cmd_specfun(ns, parser):
-    _merge_config(ns)
+def _cmd_specfun(ns):
     thetas = _parse_values(ns.theta or "0.01,0.1,1,10,50", "theta")
     rows = []
     for th in sorted(thetas):
@@ -404,8 +394,7 @@ def _cmd_specfun(ns, parser):
     return 0
 
 
-def _cmd_oracle(ns, parser):
-    _merge_config(ns)
+def _cmd_oracle(ns):
     plist, ks, model = _resolve_grid(ns)
     if len(plist) != 1 or len(ks) != 1:
         raise ParameterError("oracle takes a single beta value and a single k")
@@ -415,34 +404,31 @@ def _cmd_oracle(ns, parser):
     rc = _validate_or_die(ns, params, model)
     if rc:
         return rc
-    processes = ((ns.process,) if ns.process else ("beliaev", "landau"))
+    cols = ("process", "mc", "mc_stderr", "quadrature", "quadrature_err", "z")
     rows = []
     failed = False
-    for proc in processes:
+    for proc in ((ns.process,) if ns.process else PROCESSES):
         try:
-            est, err = mc_oracle(params, model, k, proc, *mc)
-            if proc == "beliaev":
-                ref = gamma_beliaev_quadrature(params, model, k, quad)
-            else:
-                ref = gamma_landau_quadrature(params, model, k, quad)
-            sig = math.sqrt(err * err + ref.abs_error * ref.abs_error)
-            Z = (est - ref.value) / sig if sig > 0 else 0.0
-            rows.append({"process": proc, "mc": est, "mc_stderr": err,
-                         "quadrature": ref.value,
-                         "quadrature_err": ref.abs_error, "z": Z})
+            est, err, _ = _rate("mc", params, model, k, proc, quad, mc)
+            ref, ref_err, _ = _rate("quadrature", params, model, k, proc,
+                                    quad, mc)
+            sig = math.sqrt(err * err + ref_err * ref_err)
+            Z = (est - ref) / sig if sig > 0 else 0.0
+            rows.append(dict(zip(cols, (proc, est, err, ref, ref_err, Z))))
         except BogodampError as exc:
             print(f"error in oracle ({proc}): {exc}", file=sys.stderr)
-            rows.append({"process": proc, "mc": "error", "mc_stderr": "error",
-                         "quadrature": "error", "quadrature_err": "error",
-                         "z": "error"})
+            rows.append(dict(zip(cols, (proc,) + ("error",) * 5)))
             failed = True
-    cols = ("process", "mc", "mc_stderr", "quadrature", "quadrature_err", "z")
     _write(_render(rows, cols, ns.format or "csv"), ns.output)
     return 3 if failed else 0
 
 
-def _add_model_args(p):
+def _add_config_arg(p):
     p.add_argument("--config", help="key = value file; flags override it")
+
+
+def _add_model_args(p):
+    _add_config_arg(p)
     p.add_argument("--potential", help="gaussian, flat or tabulated")
     p.add_argument("--nu", type=float, help="interaction energy scale (default 1)")
     p.add_argument("--vhat0", type=float,
@@ -490,29 +476,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    p = sub.add_parser("rate", parents=[], help="single point rates")
-    _add_model_args(p)
-    _add_grid_args(p, multi=False)
-    p.add_argument("--rates", help="subset of beliaev,landau,total")
-    p.add_argument("--methods",
-                   help="subset of quadrature,asymptotic,closed_form_regime,mc")
-    _add_quad_args(p)
-    _add_mc_args(p)
-    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    _add_out_args(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("sweep", help="parameter sweep over (k, beta)")
-    _add_model_args(p)
-    _add_grid_args(p, multi=True)
-    p.add_argument("--rates", help="subset of beliaev,landau,total")
-    p.add_argument("--methods",
-                   help="subset of quadrature,asymptotic,closed_form_regime,mc")
-    _add_quad_args(p)
-    _add_mc_args(p)
-    p.add_argument("--jobs", type=int, help="concurrent points (default 1)")
-    _add_out_args(p)
-    p.set_defaults(func=_cmd_sweep)
+    # rate is the one point sweep; --jobs is hidden there
+    for name, multi, help_, jobs_help in (
+            ("rate", False, "single point rates", argparse.SUPPRESS),
+            ("sweep", True, "parameter sweep over (k, beta)",
+             "concurrent points (default 1)")):
+        p = sub.add_parser(name, help=help_)
+        _add_model_args(p)
+        _add_grid_args(p, multi=multi)
+        p.add_argument("--rates", help="subset of " + ",".join(RATE_NAMES))
+        p.add_argument("--methods", help="subset of " + ",".join(METHOD_ORDER))
+        _add_quad_args(p)
+        _add_mc_args(p)
+        p.add_argument("--jobs", type=int, help=jobs_help)
+        _add_out_args(p)
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("validate", help="assumption report for a model")
     _add_model_args(p)
@@ -521,7 +499,7 @@ def build_parser():
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("specfun", help="tabulate I(theta) and G_k(theta)")
-    p.add_argument("--config", help="key = value file; flags override it")
+    _add_config_arg(p)
     p.add_argument("--theta", help="theta list or log:a:b:n range")
     _add_out_args(p)
     p.set_defaults(func=_cmd_specfun)
@@ -531,7 +509,7 @@ def build_parser():
     _add_grid_args(p, multi=False)
     _add_quad_args(p)
     _add_mc_args(p)
-    p.add_argument("--process", choices=("beliaev", "landau"),
+    p.add_argument("--process", choices=PROCESSES,
                    help="restrict to one process")
     _add_out_args(p)
     p.set_defaults(func=_cmd_oracle)
@@ -539,10 +517,18 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        return ns.func(ns, parser)
+        ns = parser.parse_args(argv)
+    except _UsageError as exc:
+        # argparse exits with 2 on usage errors; the contract here wants 1
+        exc.parser.print_usage(sys.stderr)
+        exc.parser.exit(1, f"{exc.parser.prog}: error: {exc}\n")
+    try:
+        if ns.config:
+            ns = _with_config(parser, ns, argv)
+        return ns.func(ns)
     except (ParameterError, DomainError) as exc:
         return _fail(str(exc), 1)
     except AssumptionError as exc:

@@ -61,6 +61,16 @@ __all__ = [
 T_CUT = 50.0
 
 
+def _check_process(process):
+    if process not in ("beliaev", "landau"):
+        raise ParameterError(f"process must be beliaev or landau, got {process!r}")
+
+
+def _landau_t_max(beta, w_k):
+    """Upper cut of the Landau variable t = beta u at theta = beta w_k."""
+    return max(T_CUT, beta * w_k + 40.0)
+
+
 def _validate_k(k):
     k = float(k)
     if not math.isfinite(k) or k <= 0:
@@ -225,8 +235,7 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     count changes.
     """
     k = _validate_k(k)
-    if process not in ("beliaev", "landau"):
-        raise ParameterError(f"process must be beliaev or landau, got {process!r}")
+    _check_process(process)
     w_k = _omega_scalar(params, model, k)
     beta = params.beta
     if process == "beliaev":
@@ -234,7 +243,7 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
         p_lo, p_hi = 0.0, k
         truncated = False
     else:
-        t_max = max(T_CUT, beta * w_k + 40.0)
+        t_max = _landau_t_max(beta, w_k)
         u_cut = t_max / beta
         energy_need = u_cut + w_k
         p_lo = 0.0
@@ -420,8 +429,7 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
     NearSingularRootError rather than returning a polluted number.
     """
     k = _validate_k(k)
-    if process not in ("beliaev", "landau"):
-        raise ParameterError(f"process must be beliaev or landau, got {process!r}")
+    _check_process(process)
     if quad is None:
         quad = QuadratureSpec()
     support = detect_support(params, model, k, process)
@@ -545,16 +553,15 @@ def gamma_landau_asymptotic(params: GasParameters, model: PotentialModel,
 def select_regime(params: GasParameters, model: PotentialModel, k: float,
                   process: str) -> str:
     """Pick the closed form regime from beta sqrt(nu) k."""
+    _check_process(process)
     g = params.beta * math.sqrt(params.nu) * float(k)
     if process == "beliaev":
         return "low_T" if g >= 3.0 else "high_T"
-    if process == "landau":
-        if g <= 0.3:
-            return "high_T_ratio"
-        if g >= 3.0:
-            return "low_T_ratio"
-        return "full"
-    raise ParameterError(f"process must be beliaev or landau, got {process!r}")
+    if g <= 0.3:
+        return "high_T_ratio"
+    if g >= 3.0:
+        return "low_T_ratio"
+    return "full"
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +593,7 @@ def flat_highT_kernel(z: float) -> float:
 def flat_highT_kernel_integral(spec: QuadratureSpec | None = None) -> float:
     """Quadrature value of the kernel integral, analytically 3 pi / 8."""
     if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-10, tail_map="rational", tail_scale=2.0)
+        spec = QuadratureSpec(rel_tol=1e-10, tail_scale=2.0)
     res = integrate_adaptive(flat_highT_kernel, 0.0, math.inf, spec)
     return res.value
 
@@ -675,8 +682,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     Returns (estimate, stderr).
     """
     k = _validate_k(k)
-    if process not in ("beliaev", "landau"):
-        raise ParameterError(f"process must be beliaev or landau, got {process!r}")
+    _check_process(process)
     n_samples = int(n_samples)
     if n_samples < MC_MIN_SAMPLES:
         raise ParameterError(
@@ -707,7 +713,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                 T = _mc_thermal_beliaev(beta, w_k, wr[sel], wq[sel])
                 g[sel] = vol * jv * jv * delta * T
     else:
-        t_cap = max(T_CUT, beta * w_k + 40.0) + 10.0
+        t_cap = _landau_t_max(beta, w_k) + 10.0
         u_cap = t_cap / beta
         b = first_branch(params, model, u_cap + w_k)
         R = invert_dispersion(b, min(u_cap, b.omega_max))

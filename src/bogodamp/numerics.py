@@ -1,4 +1,4 @@
-"""Shared 1d numerics: adaptive quadrature and its tail maps.
+"""Shared 1d numerics: adaptive quadrature and its tail map.
 
 integrate_adaptive is a port of QUADPACK's dqagse (Piessens, de
 Doncker-Kapenga, Ueberhuber and Kahaner, 1983): the 21 point
@@ -11,11 +11,9 @@ scipy.integrate.quad on the same integrand.  The rule has interior nodes
 only, so integrands with removable endpoint behaviour are never evaluated
 exactly at an endpoint.
 
-Semi-infinite integrals are folded onto (0, 1) by an explicit change of
-variables before the adaptive pass.  Two maps are offered: the rational
-map t = a + c*s/(1-s), which handles power law and exponential tails
-alike once c roughly matches the decay scale, and the exponential map
-t = a - c*log(1-s) for integrands that die like exp(-t/c).
+Semi-infinite integrals are folded onto (0, 1) by the rational map
+t = a + c*s/(1-s) before the adaptive pass; it handles power law and
+exponential tails alike once c roughly matches the decay scale.
 
 A result is "ok" exactly when dqagse returns ier = 0: the error estimate
 meets the requested tolerance with no subdivision budget exhausted,
@@ -39,8 +37,6 @@ __all__ = [
     "integrate_adaptive",
 ]
 
-_TAIL_MAPS = ("none", "rational", "exponential")
-
 _EPMACH = sys.float_info.epsilon      # d1mach(4)
 _UFLOW = sys.float_info.min           # d1mach(1)
 _OFLOW = sys.float_info.max           # d1mach(2)
@@ -53,15 +49,13 @@ class QuadratureSpec:
     """Tolerances and budget for one adaptive integration.
 
     abs_tol = 0 with rel_tol > 0 asks for pure relative control, which
-    needs rel_tol >= 50 machine epsilons.  The tail_map is only consulted
-    when the upper limit is infinite and tail_scale sets the decay scale
-    `c` of that map.
+    needs rel_tol >= 50 machine epsilons.  tail_scale sets the decay
+    scale `c` of the tail map, used when the upper limit is infinite.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
     max_subdivisions: int = 2000
-    tail_map: str = "rational"
     tail_scale: float = 1.0
 
     def __post_init__(self):
@@ -76,9 +70,6 @@ class QuadratureSpec:
         if self.max_subdivisions < 10:
             raise ParameterError(
                 f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
-        if self.tail_map not in _TAIL_MAPS:
-            raise ParameterError(
-                f"tail_map must be one of {_TAIL_MAPS}, got {self.tail_map!r}")
         if not (math.isfinite(self.tail_scale) and self.tail_scale > 0):
             raise ParameterError("tail_scale must be positive and finite")
 
@@ -117,17 +108,11 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         return y
 
     if math.isinf(b):
-        if spec.tail_map == "none":
-            raise ParameterError("infinite upper limit needs a tail_map")
         c = spec.tail_scale
-        if spec.tail_map == "rational":
-            def folded(s):
-                onems = 1.0 - s
-                return checked(a + c * s / onems) * c / (onems * onems)
-        else:
-            def folded(s):
-                onems = 1.0 - s
-                return checked(a - c * math.log(onems)) * c / onems
+
+        def folded(s):
+            onems = 1.0 - s
+            return checked(a + c * s / onems) * c / (onems * onems)
         target, lo, hi = folded, 0.0, 1.0
     else:
         target, lo, hi = checked, a, b

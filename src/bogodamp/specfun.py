@@ -95,6 +95,18 @@ def _zeta_any(m: int) -> float:
 _SERIES_Z_MAX = 0.92
 
 
+def _check_theta(theta):
+    theta = float(theta)
+    if not math.isfinite(theta) or theta < 0:
+        raise DomainError(f"theta must be finite and >= 0, got {theta}")
+    return theta
+
+
+def _check_moment(k):
+    if not isinstance(k, int) or isinstance(k, bool) or k not in (2, 3, 4):
+        raise DomainError(f"moment index must be 2, 3 or 4, got {k!r}")
+
+
 def polylog(n: int, z: float) -> float:
     """Li_n(z) for integer order n in [2, 8] and real z in [0, 1]."""
     if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= 8:
@@ -156,9 +168,7 @@ def beliaev_I_quadrature(theta: float, spec: QuadratureSpec | None = None) -> fl
     The integrand endpoints are removable against the (1 - t^2)^2 factor
     and never get evaluated by the open quadrature rule.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
+    theta = _check_theta(theta)
     if theta == 0.0:
         return 16.0 / 3.0
     if spec is None:
@@ -188,9 +198,7 @@ def beliaev_I_closed(theta: float) -> float:
     I -> 16 theta / 15 pin the overall normalisation; a closed form
     carrying a stray overall factor (1 - e^-theta) fails the first one.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
+    theta = _check_theta(theta)
     if theta < _I_SERIES_CUT:
         t2 = theta * theta
         return (16.0 / 3.0 + t2 * (4.0 / 45.0 + t2 * (-1.0 / 1890.0
@@ -210,9 +218,7 @@ def beliaev_I(theta: float) -> float:
     The two evaluations agree to ~1e-11 at the switch, and the function
     is monotone increasing from 16/3 towards the linear growth 16/15 theta.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
+    theta = _check_theta(theta)
     if theta <= BELIAEV_I_SWITCH:
         return beliaev_I_quadrature(theta)
     return beliaev_I_closed(theta)
@@ -230,11 +236,8 @@ def landau_Gk(k: int, theta: float) -> float:
     directly from the z = 1 expansion at small theta, so the small slope
     region keeps full relative accuracy.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k not in (2, 3, 4):
-        raise DomainError(f"moment index must be 2, 3 or 4, got {k!r}")
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
+    _check_moment(k)
+    theta = _check_theta(theta)
     if theta == 0.0:
         return 0.0
     n = k + 1
@@ -255,16 +258,13 @@ def landau_Gk_quadrature(k: int, theta: float,
     the overflow free form 2 (1-e^-theta) t^k e^-t /
     ((1-e^-t)(1-e^-t-theta)).
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k not in (2, 3, 4):
-        raise DomainError(f"moment index must be 2, 3 or 4, got {k!r}")
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
+    _check_moment(k)
+    theta = _check_theta(theta)
     if theta == 0.0:
         return 0.0
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0,
-                              tail_map="rational", tail_scale=float(k + 1))
+                              tail_scale=float(k + 1))
     pref = -math.expm1(-theta)
 
     def f(t):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import bogodamp.cli as cli
 from bogodamp.bogoliubov import omega_bg
 from bogodamp.cli import CSV_HEADER, main
 from bogodamp.damping import (MC_MIN_SAMPLES, gamma_beliaev_quadrature,
@@ -203,14 +204,14 @@ def test_error_rows_and_exit_3(tmp_path, capsys):
     from conftest import maxon_roton_table
     path = write_table(tmp_path / "dip.dat", maxon_roton_table())
     rc, out = run(capsys, "sweep", "--potential", "tabulated", "--table", path,
-                  "--skip-validation", "--raw", "--k", "0.5,20",
-                  "--beta-nu", "4", "--rates", "landau")
+                  "--skip-validation", "--raw", "--k", "0.2,20",
+                  "--beta-nu", "4", "--rates", "beliaev")
     assert rc == 3
     lines = out.strip().split("\n")
     assert len(lines) == 3
     good = lines[1].split(",")
     bad = lines[2].split(",")
-    assert float(good[8]) > 0.0
+    assert float(good[5]) > 0.0
     assert bad[5] == "error" and bad[9] == "error"
 
 
@@ -335,10 +336,110 @@ def test_golden_sweep_bytes(tmp_path, capsys):
 
 
 def test_tabulated_profile_from_data_dir(capsys):
+    # the momentum scan does not converge here (4.079e-4 by generic_scan)
     path = os.path.join(DATA, "dip_profile.dat")
     rc, out = run(capsys, "rate", "--potential", "tabulated", "--table", path,
                   "--skip-validation", "--k", "0.4", "--beta-nu", "4",
                   "--rates", "landau")
+    assert rc == 3
+    row = out.strip().split("\n")[1].split(",")
+    assert row[8] == "error"
+
+
+def test_unconverged_rate_is_an_error_row(capsys):
+    path = os.path.join(DATA, "dip_profile.dat")
+    rc = main(["rate", "--potential", "tabulated", "--table", path,
+               "--skip-validation", "--k", "0.4", "--beta-nu", "4",
+               "--rates", "landau"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    row = captured.out.strip().split("\n")[1].split(",")
+    assert row[4] == "quadrature"
+    assert row[3] == row[7] == row[8] == row[9] == "error"
+    assert len(captured.err.strip().split("\n")) == 1
+    assert "converged=False" in captured.err
+
+
+def test_zero_rate_on_a_non_empty_support_is_an_error_row(capsys):
+    # the vertex cancels to 0.0 at k/sqrt(nu) = 1e-8, so the quadrature
+    # returns 0.0 +- 0.0 over a support that is not empty
+    rc, out = run(capsys, "rate", "--v", "0.1", "--k", "1e-8",
+                  "--beta-nu", "50", "--rates", "beliaev")
+    assert rc == 3
+    assert out.strip().split("\n")[1].split(",")[5] == "error"
+
+
+def test_oracle_with_unconverged_reference_exits_3(capsys):
+    path = os.path.join(DATA, "dip_profile.dat")
+    rc, out = run(capsys, "oracle", "--potential", "tabulated", "--table",
+                  path, "--skip-validation", "--k", "0.4", "--beta-nu", "4",
+                  "--process", "landau", "--samples", "10000")
+    assert rc == 3
+    assert out.strip().split("\n")[1] == "landau,error,error,error,error,error"
+
+
+def test_empty_support_is_a_true_zero(tmp_path, capsys):
+    # a concave dispersion leaves the decay no phase space
+    path = write_table(tmp_path / "concave.dat", concave_table())
+    rc, out = run(capsys, "rate", "--potential", "tabulated", "--table", path,
+                  "--skip-validation", "--k", "0.3", "--beta-nu", "10",
+                  "--rates", "beliaev")
     assert rc == 0
     row = out.strip().split("\n")[1].split(",")
-    assert float(row[8]) > 0.0
+    assert row[5] == "0.0" and row[6] == "0.0"
+
+
+with open(os.path.join(DATA, "cli_pins.json"), "r", encoding="utf-8") as _fh:
+    PINS = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_pinned_output(name, tmp_path, capsys):
+    """Exit code and stdout byte for byte, as the dispatch gave them
+    before rate, sweep and oracle shared one rate function."""
+    pin = PINS[name]
+    argv = pin["argv"]
+    if "config" in pin:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pin["config"])
+        argv = [str(cfg) if a == "{config}" else a for a in argv]
+    rc, out = run(capsys, *argv)
+    assert rc == pin["rc"]
+    assert out == pin["stdout"]
+
+
+def test_rates_are_looked_up_at_call_time(monkeypatch, capsys):
+    # wrappers installed on the cli module (as perfbench's recorder does)
+    # must see every rate the commands compute
+    calls = []
+
+    def counted(name):
+        orig = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("gamma_beliaev_quadrature", "gamma_landau_quadrature",
+                 "mc_oracle"):
+        counted(name)
+    rc, _ = run(capsys, "sweep", "--k", "0.1,0.3", "--beta-nu", "10",
+                "--methods", "quadrature,mc", "--samples", "10000")
+    assert rc == 0
+    assert sorted(calls) == sorted(["gamma_beliaev_quadrature"] * 2
+                                   + ["gamma_landau_quadrature"] * 2
+                                   + ["mc_oracle"] * 4)
+    del calls[:]
+    rc, _ = run(capsys, "oracle", "--k", "0.3", "--beta-nu", "10",
+                "--samples", "10000")
+    assert rc == 0
+    assert calls == ["mc_oracle", "gamma_beliaev_quadrature",
+                     "mc_oracle", "gamma_landau_quadrature"]
+
+
+def test_config_bad_boolean(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = 0.3\nbeta-nu = 10\nraw = maybe\n")
+    rc, _ = run(capsys, "rate", "--config", str(cfg))
+    assert rc == 1
