@@ -354,7 +354,10 @@ def _cmd_sweep(ns):
 
 def _cmd_validate(ns):
     nu = ns.nu if ns.nu is not None else 1.0
-    bn = float(ns.beta_nu) if ns.beta_nu is not None else 1.0
+    bvals = _parse_values("1" if ns.beta_nu is None else ns.beta_nu, "beta_nu")
+    if len(bvals) != 1:
+        raise ParameterError("validate takes a single beta_nu value")
+    bn = bvals[0]
     model = _build_model(ns, nu)
     params = make_params(nu, bn / nu, _amplitude(ns, model))
     report = validate_assumptions(model, params)

@@ -663,6 +663,24 @@ def _cdf_index(cum, guide, u):
     return idx
 
 
+def _chunk_blocks(key, m):
+    """Generator(Philox(key)).random((2, m)) as blocks (s, u0, u1): columns
+    s to s + len(u0) of rows 0 and 1, read into two reused block buffers.
+
+    Row 0 is the stream's first m doubles and row 1 the next m.  Philox
+    is counter based and one step yields four doubles, so row 1 starts
+    m // 4 steps and m % 4 draws in; the (2, m) array never exists.
+    """
+    rows0 = np.random.Generator(np.random.Philox(key=key))
+    rows1 = np.random.Generator(np.random.Philox(key=key).advance(m // 4))
+    rows1.random(m % 4)
+    u0 = np.empty(min(_MC_BLOCK, m))
+    u1 = np.empty_like(u0)
+    for s in range(0, m, _MC_BLOCK):
+        n = min(_MC_BLOCK, m - s)
+        yield s, rows0.random(out=u0[:n]), rows1.random(out=u1[:n])
+
+
 def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
               process: str, epsilon: float | None = None,
               n_samples: int = 1_000_000, seed: int = 1234):
@@ -674,10 +692,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     absorption.  The stream is counter based: chunks of 1e6 samples keyed
     by (seed, chunk) define which numbers are drawn, so results are bit
     reproducible for a given (seed, n_samples) regardless of scheduling.
-    Each chunk is evaluated in blocks of 2^16 samples that only bound the
-    temporaries; the sums run over whole chunks, so the block size moves
-    no bit.  The absorption radius is drawn by an exact CDF lookup (a
-    guide table, equal to a binary search).
+    Each chunk is evaluated in blocks of 2^16 samples, and its draws are
+    streamed per block from the counter-based stream (_chunk_blocks).  The
+    sums run over whole chunks, so the block size moves no bit.  Memory
+    is one chunk buffer of values (8 MB) plus block temporaries,
+    independent of n_samples.  The absorption radius is drawn by an exact
+    CDF lookup (a guide table, equal to a binary search).
 
     Returns (estimate, stderr).
     """
@@ -699,15 +719,15 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         vol = 4.0 * math.pi / 3.0 * R ** 3
         pref = 1.0 / (16.0 * math.pi ** 2)
 
-        def values(u, g):
-            r = R * np.cbrt(u[0])
-            cth = 2.0 * u[1] - 1.0
+        def values(u0, u1, g):
+            r = R * np.cbrt(u0)
+            cth = 2.0 * u1 - 1.0
             q = np.sqrt(np.maximum(r * r + k * k - 2.0 * r * k * cth, 0.0))
             wr = omega_bg(params, model, r)
             wq = omega_bg(params, model, q)
             z = (w_k - wr - wq) / eps
-            sel = (np.abs(z) < 39.0) & (q > 0) & (r > 0)
-            if np.any(sel):
+            sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
+            if sel.size:
                 jv = _j_arrays(params, model, k, r[sel], q[sel])
                 delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
                 T = _mc_thermal_beliaev(beta, w_k, wr[sel], wq[sel])
@@ -727,19 +747,19 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         guide = np.searchsorted(cum, np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS,
                                 side="right") - 1
 
-        def values(u, g):
-            # cum[-1] == 1 > u, so idx <= len(nodes) - 2 and span > 0
-            idx = _cdf_index(cum, guide, u[0])
+        def values(u0, u1, g):
+            # cum[-1] == 1 > u0, so idx <= len(nodes) - 2 and span > 0
+            idx = _cdf_index(cum, guide, u0)
             span = cum[idx + 1] - cum[idx]
-            r = nodes[idx] + (u[0] - cum[idx]) / span * dx
+            r = nodes[idx] + (u0 - cum[idx]) / span * dx
             pdf = span / dx
-            cth = 2.0 * u[1] - 1.0
+            cth = 2.0 * u1 - 1.0
             q = np.sqrt(np.maximum(r * r + k * k + 2.0 * r * k * cth, 0.0))
             wr = omega_bg(params, model, r)
             wq = omega_bg(params, model, q)
             z = (wq - wr - w_k) / eps
-            sel = (np.abs(z) < 39.0) & (q > 0) & (r > 0)
-            if np.any(sel):
+            sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
+            if sel.size:
                 jv = _j_arrays(params, model, q[sel], r[sel], k)
                 delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
                 T = _mc_thermal_landau(beta, w_k, wr[sel], wq[sel])
@@ -750,14 +770,14 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     total_sq = 0.0
     done = 0
     chunk = 0
+    g_buf = np.empty(min(_MC_CHUNK, n_samples))
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)))
-        u = rng.random((2, m))
-        g = np.zeros(m)
-        for s in range(0, m, _MC_BLOCK):
-            values(u[:, s:s + _MC_BLOCK], g[s:s + _MC_BLOCK])
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
+        g = g_buf[:m]
+        g.fill(0.0)
+        for s, u0, u1 in _chunk_blocks(key, m):
+            values(u0, u1, g[s:s + len(u0)])
         total += float(np.sum(g))
         total_sq += float(np.sum(np.square(g, out=g)))
         done += m

@@ -88,6 +88,10 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     the subdivision budget ran out, roundoff blocked the requested
     tolerance, or the integrand looked singular or divergent; the value
     and the error estimate are still the best available.
+    ok=True does not certify the value at a slowly converging endpoint
+    singularity, where the extrapolation can settle on a wrong limit
+    with a small error: 1/(x (1 - ln x)^1.5) on (0, 1) returns
+    1.955 +- 1.4e-6 against the exact 2.
     Non-finite integrand values raise IntegrandError with the location.
     A lower limit above a finite upper one integrates over (b, a) and
     flips the sign, as scipy.integrate.quad does.

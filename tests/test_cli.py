@@ -131,6 +131,25 @@ def test_validate_concave_table_fails(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value,message", [
+    ("abc", "error: beta_nu: cannot parse 'abc'"),
+    ("1,2", "error: validate takes a single beta_nu value"),
+    ("-1", "error: beta_nu: values must be finite and > 0"),
+])
+def test_validate_bad_beta_nu_is_a_usage_error(capsys, value, message):
+    rc = main(["validate", "--v", "0.2", "--beta-nu", value])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+def test_validate_beta_nu_range_of_one(capsys):
+    assert run(capsys, "validate", "--v", "0.2", "--beta-nu", "log:10:10:1") \
+        == run(capsys, "validate", "--v", "0.2", "--beta-nu", "10")
+
+
 def test_validate_json(capsys):
     rc, out = run(capsys, "validate", "--v", "0.2", "--format", "json")
     assert rc == 0

@@ -119,8 +119,9 @@ def test_oracle_bits_are_pinned(name, k, process, eps, n, seed, want):
 
 @pytest.mark.parametrize("process", ["beliaev", "landau"])
 def test_oracle_memory_is_bounded(process):
-    # blocks of 2^16 samples keep the temporaries small; whole-chunk
-    # evaluation peaked at 77 MiB (beliaev) and 100 MiB (landau)
+    # blocks of 2^16 samples keep the temporaries small and the draws are
+    # streamed per block (13-14 MiB); whole-chunk evaluation peaked at
+    # 77 MiB (beliaev) and 100 MiB (landau)
     params, model = gaussian_setup(beta_nu=10.0)
     tracemalloc.start()
     try:
@@ -129,6 +130,44 @@ def test_oracle_memory_is_bounded(process):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def _oracle_peak(process, n_samples):
+    params, model = gaussian_setup(beta_nu=10.0)
+    tracemalloc.start()
+    try:
+        mc_oracle(params, model, 0.3, process, n_samples=n_samples, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+def test_oracle_memory_does_not_grow_with_samples(process):
+    # one chunk buffer plus block temporaries: holding a chunk's (2, m)
+    # draw, or the next chunk's arrays beside the last, peaked at 38 MiB
+    small = _oracle_peak(process, 10 ** 6)
+    large = _oracle_peak(process, 3 * 10 ** 6)
+    assert large < 16 * 2 ** 20
+    assert abs(large - small) < 2 ** 20
+
+
+@pytest.mark.parametrize("m", [40, 41, 42, 43, 2 ** 17 + 1, 2 ** 17 + 2,
+                               2 ** 17 + 3, 3 * 2 ** 16])
+def test_streamed_rows_equal_the_whole_draw(m):
+    # m % 4 in {0, 1, 2, 3}, each in one short block and in several blocks
+    # whose last is short.  If Philox.advance ever meant something else,
+    # this fails here and not only through the pinned bits.
+    key = np.array([2 ** 64 - 3, 1], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random((2, m))
+    starts, rows0, rows1 = [], [], []
+    for s, u0, u1 in damping._chunk_blocks(key, m):
+        starts.append(s)
+        rows0.append(u0.copy())
+        rows1.append(u1.copy())
+    assert starts == list(range(0, m, damping._MC_BLOCK))
+    assert np.array_equal(np.concatenate(rows0), want[0])
+    assert np.array_equal(np.concatenate(rows1), want[1])
 
 
 def _guide(cum, bins):
