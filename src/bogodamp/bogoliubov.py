@@ -188,16 +188,15 @@ def occupation_rho(params: GasParameters, omega: float) -> float:
 class DispersionBranch:
     """One monotone piece of the dispersion with a cached inverse.
 
-    Attributes p_lo, p_hi bound the momentum interval, omega_lo and
-    omega_hi are the energies at those endpoints in momentum order, and
-    increasing records the direction.  The cached nodes hold momentum,
-    energy and group velocity in ascending energy order, as plain floats
-    for the scalar hot path: invert_dispersion brackets its root between
-    two of them and starts Newton from their cubic Hermite interpolant.
+    Attributes p_lo, p_hi bound the momentum interval and increasing
+    records the direction.  The cached nodes hold momentum, energy and
+    group velocity in ascending energy order, as plain floats for the
+    scalar hot path: invert_dispersion brackets its root between two of
+    them and starts Newton from their cubic Hermite interpolant.
     """
 
-    __slots__ = ("params", "model", "index", "p_lo", "p_hi", "omega_lo",
-                 "omega_hi", "increasing", "_asc_w", "_asc_p", "_asc_d")
+    __slots__ = ("params", "model", "index", "p_lo", "p_hi", "increasing",
+                 "_asc_w", "_asc_p", "_asc_d")
 
     def __init__(self, params, model, index, p_nodes, w_nodes, d_nodes,
                  increasing):
@@ -206,8 +205,6 @@ class DispersionBranch:
         self.index = index
         self.p_lo = float(p_nodes[0])
         self.p_hi = float(p_nodes[-1])
-        self.omega_lo = float(w_nodes[0])
-        self.omega_hi = float(w_nodes[-1])
         self.increasing = bool(increasing)
         step = 1 if increasing else -1
         self._asc_p = p_nodes[::step].tolist()

@@ -25,7 +25,7 @@ and the change of variables to energies gives the energy path constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,20 +101,16 @@ class DeltaSupport:
     """Resolved support of the conservation delta in the partner momentum.
 
     segments are (p_lo, p_hi, roots) stretches with at least one
-    conservation root, ascending.  convex_fastpath_ok means the support
-    is the full expected interval with exactly one root throughout, on a
-    single branch dispersion; first_branch_ok means a single branch
-    suffices at all (else only the generic scan applies).  truncated
-    marks the thermal cutoff of the Landau support.
+    conservation root, ascending; a Landau support ends at the thermal
+    cutoff.  branches is the branch table the roots were counted on: the
+    energy path evaluates on a single branch, else the generic scan runs.
+    Supports compare by their segments.
     """
 
     process: str
     k: float
     segments: tuple
-    convex_fastpath_ok: bool
-    first_branch_ok: bool
-    truncated: bool = False
-    note: str = ""
+    branches: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -238,18 +234,13 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     _check_process(process)
     w_k = _omega_scalar(params, model, k)
     beta = params.beta
+    p_lo = 0.0
     if process == "beliaev":
-        energy_need = w_k
-        p_lo, p_hi = 0.0, k
-        truncated = False
+        energy_need, p_hi = w_k, k
     else:
-        t_max = _landau_t_max(beta, w_k)
-        u_cut = t_max / beta
+        u_cut = _landau_t_max(beta, w_k) / beta
         energy_need = u_cut + w_k
-        p_lo = 0.0
-        truncated = True
-    branches = branch_table(params, model, energy_need)
-    single = len(branches) == 1
+    branches = tuple(branch_table(params, model, energy_need))
     if process == "landau":
         last = branches[-1]
         if last.increasing and last.omega_min <= u_cut <= last.omega_max:
@@ -295,15 +286,7 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
             if cmid > 0:
                 segments.append((a, b, cmid))
         segments = tuple(segments)
-
-    fast = (single and len(segments) == 1
-            and segments[0][0] == p_lo and segments[0][1] == p_hi
-            and segments[0][2] == 1)
-    return DeltaSupport(process, k, segments,
-                        convex_fastpath_ok=fast,
-                        first_branch_ok=single,
-                        truncated=truncated and bool(segments),
-                        note="" if segments else "no conservation roots")
+    return DeltaSupport(process, k, segments, branches)
 
 
 def _integrate_pieces(f, pieces, quad):
@@ -340,10 +323,10 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
     support = detect_support(params, model, k, "beliaev")
     if not support.segments:
         return _empty_result(diag, support)
-    if not support.first_branch_ok:
+    if len(support.branches) > 1:
         return _generic_scan(params, model, k, "beliaev", quad, support)
 
-    branch = first_branch(params, model, w_k)
+    branch = support.branches[0]
     pO = energy_point(params, model, branch, w_k)
     beta = params.beta
 
@@ -357,13 +340,9 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
         F = _F(pO, pu, pw)
         return pu[4] * pw[4] * F * F * _w_beliaev(beta, u, w)
 
-    if support.convex_fastpath_ok:
-        pieces = [(-w_k, w_k)]
-    else:
-        pieces = [(2.0 * _omega_scalar(params, model, pa) - w_k,
-                   2.0 * _omega_scalar(params, model, pb) - w_k)
-                  for (pa, pb, _m) in support.segments]
-
+    pieces = [(2.0 * _omega_scalar(params, model, pa) - w_k,
+               2.0 * _omega_scalar(params, model, pb) - w_k)
+              for (pa, pb, _m) in support.segments]
     val, err, ok = _integrate_pieces(gy, pieces, quad)
     C = params.vhat0 / (128.0 * math.pi * params.nu * k * w_k)
     return DampingResult(C * val, C * err, "energy_quadrature", diag, support, ok)
@@ -388,13 +367,12 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
     support = detect_support(params, model, k, "landau")
     if not support.segments:
         return _empty_result(diag, support)
-    if not support.first_branch_ok:
+    if len(support.branches) > 1:
         return _generic_scan(params, model, k, "landau", quad, support)
 
     beta = params.beta
     theta = beta * w_k
-    top_u = _omega_scalar(params, model, support.segments[-1][1])
-    branch = first_branch(params, model, top_u + w_k)
+    branch = support.branches[0]
     pk = energy_point(params, model, branch, w_k)
 
     def gt(t):
@@ -411,9 +389,7 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
               for (pa, pb, _m) in support.segments]
     val, err, ok = _integrate_pieces(gt, pieces, quad)
     C = params.vhat0 / (32.0 * math.pi * params.nu * k * w_k * beta)
-    if support.truncated:
-        t_end = beta * top_u
-        err += 2.0 * abs(gt(t_end))
+    err += 2.0 * abs(gt(pieces[-1][1]))
     return DampingResult(C * val, C * err, "energy_quadrature", diag, support, ok)
 
 
@@ -437,7 +413,11 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
 
 
 def _generic_scan(params, model, k, process, quad, support):
-    """The scan of reduce_delta_generic on an already detected support."""
+    """The scan of reduce_delta_generic on an already detected support.
+
+    Its own branch table covers Landau roots up to omega(p_hi) + omega(k),
+    above the energies support.branches may cover.
+    """
     w_k = _omega_scalar(params, model, k)
     diag = diagnostics(params, k, w_k)
     if not support.segments:
@@ -478,7 +458,7 @@ def _generic_scan(params, model, k, process, quad, support):
     val, err, ok = _integrate_pieces(
         inner, [(pa, pb) for (pa, pb, _m) in support.segments], quad)
     C = 1.0 / ((8.0 if beliaev else 4.0) * math.pi * k)
-    if process == "landau" and support.truncated:
+    if not beliaev:
         pb = support.segments[-1][1]
         slope_b = abs(float(omega_bg_prime(params, model, pb)))
         if slope_b > 0:
@@ -698,6 +678,11 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     is one chunk buffer of values (8 MB) plus block temporaries,
     independent of n_samples.  The absorption radius is drawn by an exact
     CDF lookup (a guide table, equal to a binary search).
+
+    The default epsilon biases the estimate at small k: the Gaussian
+    v = 0.3, nu = 1 at k = 0.05, beta = 1000 (2000003 samples, seed 7)
+    sits 20.4 (decay) and 15.5 (absorption) standard errors above the
+    quadrature; with epsilon = 1e-5 omega(k) both lie within 2.
 
     Returns (estimate, stderr).
     """

@@ -145,6 +145,18 @@ def test_validate_bad_beta_nu_is_a_usage_error(capsys, value, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nu", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["rate", "sweep", "oracle", "validate"])
+def test_bad_nu_is_a_usage_error(capsys, command, nu):
+    grid = () if command == "validate" else ("--k", "0.3", "--beta-nu", "10")
+    rc = main([command, *grid, "--nu", nu])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: nu must be finite and > 0")
+    assert err.count("\n") == 1
+
+
 def test_validate_beta_nu_range_of_one(capsys):
     assert run(capsys, "validate", "--v", "0.2", "--beta-nu", "log:10:10:1") \
         == run(capsys, "validate", "--v", "0.2", "--beta-nu", "10")
@@ -232,6 +244,28 @@ def test_error_rows_and_exit_3(tmp_path, capsys):
     bad = lines[2].split(",")
     assert float(good[5]) > 0.0
     assert bad[5] == "error" and bad[9] == "error"
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (("sweep", "--k", "0.3,1e300", "--beta-nu", "10"), "OverflowError"),
+    (("rate", "--k", "0.3", "--beta-nu", "1e-300"), "ZeroDivisionError"),
+    (("rate", "--k", "0.3", "--beta-nu", "1e-300", "--methods", "asymptotic"),
+     "ZeroDivisionError"),
+    (("oracle", "--k", "0.3", "--beta-nu", "1e-300", "--samples", "10000"),
+     "ZeroDivisionError"),
+])
+def test_arithmetic_fault_is_an_error_row(capsys, argv, fault):
+    # the failing point is an error row with exit 3, not a traceback
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert "error" in rows[-1]
+    assert f": {fault}: " in captured.err
+    if argv[0] == "sweep":
+        # the good point still prints its numbers
+        assert len(rows) == 2 and float(rows[0][5]) > 0.0
+        assert rows[1][5] == rows[1][9] == "error"
 
 
 def test_config_file_merge_and_override(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bogodamp import bogoliubov, damping
-from bogodamp.bogoliubov import branch_table, first_branch, omega_bg
+from bogodamp.bogoliubov import (branch_table, first_branch,
+                                 invert_dispersion, omega_bg)
 from bogodamp.damping import (DampingResult, detect_support, flat_highT_kernel,
                               flat_highT_kernel_integral,
                               gamma_beliaev_asymptotic,
@@ -28,16 +30,19 @@ from conftest import concave_table, gaussian_setup, maxon_roton_table
 # support detection
 
 
+def _landau_cutoff(params, model, sup):
+    """The thermal cutoff momentum of a single branch Landau support."""
+    w_k = omega_bg(params, model, sup.k)
+    u_cut = damping._landau_t_max(params.beta, w_k) / params.beta
+    return invert_dispersion(sup.branches[0], u_cut)
+
+
 def test_beliaev_support_convex_gaussian():
+    # the whole decay interval [0, k] on one branch, one root throughout
     params, model = gaussian_setup(beta_nu=10.0)
     sup = detect_support(params, model, 0.3, "beliaev")
-    assert sup.convex_fastpath_ok
-    assert sup.first_branch_ok
-    assert len(sup.segments) == 1
-    lo, hi, roots = sup.segments[0]
-    assert lo == pytest.approx(0.0, abs=1e-9)
-    assert hi == pytest.approx(0.3, abs=1e-9)
-    assert roots == 1
+    assert len(sup.branches) == 1
+    assert sup.segments == ((0.0, 0.3, 1),)
 
 
 def test_beliaev_support_empty_on_concave_shape():
@@ -50,12 +55,11 @@ def test_beliaev_support_empty_on_concave_shape():
 def test_landau_support_truncated():
     params, model = gaussian_setup(beta_nu=10.0)
     sup = detect_support(params, model, 0.3, "landau")
-    assert sup.convex_fastpath_ok
-    assert len(sup.segments) == 1
-    assert sup.truncated
-    # the cutoff momentum sits where beta omega(p) reaches the t budget
-    _, hi, _ = sup.segments[0]
-    assert hi > math.sqrt(params.nu)
+    assert len(sup.branches) == 1
+    # the support ends at the cutoff momentum, where beta omega(p)
+    # reaches the t budget
+    assert sup.segments == ((0.0, _landau_cutoff(params, model, sup), 1),)
+    assert sup.segments[0][1] > math.sqrt(params.nu)
 
 
 def test_support_rejects_bad_process():
@@ -147,8 +151,53 @@ def test_support_counts_roots_without_inverting(monkeypatch, process, most):
     monkeypatch.setattr(damping, "invert_dispersion", counted)
     params, model = gaussian_setup(beta_nu=50.0)
     sup = detect_support(params, model, 0.05, process)
-    assert sup.convex_fastpath_ok
     assert len(calls) <= most
+    hi = 0.05 if process == "beliaev" else _landau_cutoff(params, model, sup)
+    assert len(sup.branches) == 1
+    assert sup.segments == ((0.0, hi, 1),)
+
+
+def test_support_equality_ignores_branches():
+    params, model = gaussian_setup(beta_nu=10.0)
+    sup = detect_support(params, model, 0.3, "beliaev")
+    other = dataclasses.replace(sup, branches=())
+    assert other == sup
+    assert hash(other) == hash(sup)
+    assert dataclasses.replace(sup, segments=()) != sup
+
+
+@pytest.mark.parametrize("kd", [1e-6, 0.05, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("bn", [1e-3, 10.0, 1e6])
+def test_convex_beliaev_support_maps_onto_the_full_energy_range(kd, bn):
+    """On a convex profile the support is [0, k] with one root on one
+    branch, and the energy path's piece map sends it to [-omega, omega]
+    exactly: omega(0) = 0 and 2 omega - omega = omega in floats."""
+    params, model = gaussian_setup(beta_nu=bn)
+    sup = detect_support(params, model, kd, "beliaev")
+    assert len(sup.branches) == 1
+    assert sup.segments == ((0.0, kd, 1),)
+    w_k = omega_bg(params, model, kd)
+    assert (2.0 * omega_bg(params, model, 0.0) - w_k,
+            2.0 * omega_bg(params, model, kd) - w_k) == (-w_k, w_k)
+
+
+@pytest.mark.parametrize("kd", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("rate", [gamma_beliaev_quadrature,
+                                  gamma_landau_quadrature])
+def test_energy_path_requests_one_branch_table(monkeypatch, rate, kd):
+    """The rate evaluates on the table its support counted roots on."""
+    calls = []
+    orig = bogoliubov.branch_table
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(bogoliubov, "branch_table", counted)
+    monkeypatch.setattr(damping, "branch_table", counted)
+    res = rate(*gaussian_setup(beta_nu=10.0), kd)
+    assert res.method == "energy_quadrature"
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
