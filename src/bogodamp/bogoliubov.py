@@ -10,24 +10,27 @@ For potentials whose profile dips (maxon and roton style tables) the
 dispersion is no longer monotone, so inversion from energy to momentum has
 to be organised by branch.  detect_branches splits [0, p_max] at the
 stationary points of omega and each DispersionBranch carries sampled
-energies and slopes: they bracket the root between two nodes and give a
-cubic Hermite first guess, which a safeguarded Newton iteration polishes
+energies, built once per branch into the constants of each node
+interval: the nodes bracket the root and the interval's Hermite tangents
+give a cubic first guess, which a safeguarded Newton iteration polishes
 to about an ulp, usually in one dispersion evaluation.  branch_table
 picks p_max from the requested energy alone, so a table, and every rate
 computed on it, is a pure function of its arguments.
 
 Each formula is written once, for floats and arrays alike, in one
 operation order: _dispersion holds omega, _omega_and_slope its slope,
-_coeffs the Bogoliubov coefficients at a momentum, and energy_point the
-per-energy quantities of the energy space rate integrals: the regularized
-coefficients, nu_x and the measure factor f.  math.sqrt and np.sqrt both
-round correctly, so a float and an array agree bit for bit wherever the
-model's float and array profiles do.
+_coeff_kernel the Bogoliubov coefficients at a momentum from its profile
+value and energy (_coeffs evaluates the profile first), and
+energy_point the per-energy quantities of the energy space rate
+integrals: the regularized coefficients, nu_x and the measure factor f.
+math.sqrt and np.sqrt both round correctly, so a float and an array
+agree bit for bit wherever the model's float and array profiles do.
 """
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -83,18 +86,21 @@ def _omega_scalar(params, model, k):
 
 
 def _omega_and_slope(params, model, k):
-    """(omega(k), omega'(k)) at a float or an array k >= 0, no validation.
+    """(omega(k), omega'(k), vhat(k)) at a float or an array k >= 0, no
+    validation.
 
     One vhat and one dvhat call; the slope is nu NP(k) / sqrt(k^2/4 + nu_k),
-    with the k -> 0 limit sqrt(nu) taken exactly at k = 0.
+    with the k -> 0 limit sqrt(nu) taken exactly at k = 0.  vhat(k) and
+    omega(k) are what _coeff_kernel takes, so a caller that needs the
+    slope and the coefficients at one momentum evaluates the profile once.
     """
     nu, v0 = params.nu, model.vhat0
     vh = model.vhat(k)
     w, r = _dispersion(k, nu * vh / v0)
     slope = nu * _np_slope(nu, v0, k, vh, model.dvhat(k)) / r
     if isinstance(slope, np.ndarray):
-        return w, np.where(k == 0.0, math.sqrt(nu), slope)
-    return w, (math.sqrt(nu) if k == 0.0 else slope)
+        return w, np.where(k == 0.0, math.sqrt(nu), slope), vh
+    return w, (math.sqrt(nu) if k == 0.0 else slope), vh
 
 
 def _checked(k):
@@ -131,16 +137,24 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
 def _coeffs(params, model, x):
     """(s, c, 1/(c + s), vhat(x)/vhat0) at positive momenta x, no validation.
 
-    One vhat call: c = sqrt((E + omega)/(2 omega)) and s = |nu_x| /
-    sqrt(2 omega (E + omega)) with E = x^2/2 + nu_x; c - s is rationalized
-    as 1/(c + s) through c^2 - s^2 = 1.  A float x and an array x take the
-    same operation order.  A float whose dispersion vanishes raises
-    AssumptionError.
+    One vhat call, then _coeff_kernel.
     """
     vh = model.vhat(x)
+    w = _dispersion(x, params.nu * vh / model.vhat0)[0]
+    return _coeff_kernel(params, model, x, vh, w)
+
+
+def _coeff_kernel(params, model, x, vh, w):
+    """_coeffs at momenta x > 0 from vh = vhat(x) and w = omega(x).
+
+    c = sqrt((E + omega)/(2 omega)) and s = |nu_x| / sqrt(2 omega (E +
+    omega)) with E = x^2/2 + nu_x; c - s is rationalized as 1/(c + s)
+    through c^2 - s^2 = 1.  A float x and an array x take the same
+    operation order.  A float whose dispersion vanishes raises
+    AssumptionError.
+    """
     v0 = model.vhat0
     nk = params.nu * vh / v0
-    w = _dispersion(x, nk)[0]
     if isinstance(x, np.ndarray):
         sqrt = np.sqrt
     elif w > 0:
@@ -188,15 +202,22 @@ def occupation_rho(params: GasParameters, omega: float) -> float:
 class DispersionBranch:
     """One monotone piece of the dispersion with a cached inverse.
 
-    Attributes p_lo, p_hi bound the momentum interval and increasing
-    records the direction.  The cached nodes hold momentum, energy and
-    group velocity in ascending energy order, as plain floats for the
-    scalar hot path: invert_dispersion brackets its root between two of
-    them and starts Newton from their cubic Hermite interpolant.
+    Attributes p_lo, p_hi bound the momentum interval, omega_min,
+    omega_max the energy range, and increasing records the direction.
+    The cached nodes hold momentum and energy in ascending energy order,
+    as plain floats for the scalar hot path: invert_dispersion brackets
+    its root between two of them and starts Newton from their cubic
+    Hermite interpolant.  The interpolant's constants are built once per
+    branch, with numpy in invert_dispersion's operation order, and stored
+    per node interval (interval i joins nodes i and i + 1): the Hermite
+    tangents ma = dw/da and mb = dw/db from the node slopes da, db (inf
+    where a slope is 0), whether Fritsch and Carlson admit them, and the
+    Newton constant curv (inf where a node slope is 0).
     """
 
     __slots__ = ("params", "model", "index", "p_lo", "p_hi", "increasing",
-                 "_asc_w", "_asc_p", "_asc_d")
+                 "omega_min", "omega_max", "_asc_w", "_asc_p", "_ma", "_mb",
+                 "_hermite", "_curv")
 
     def __init__(self, params, model, index, p_nodes, w_nodes, d_nodes,
                  increasing):
@@ -207,17 +228,28 @@ class DispersionBranch:
         self.p_hi = float(p_nodes[-1])
         self.increasing = bool(increasing)
         step = 1 if increasing else -1
-        self._asc_p = p_nodes[::step].tolist()
-        self._asc_w = w_nodes[::step].tolist()
-        self._asc_d = d_nodes[::step].tolist()
-
-    @property
-    def omega_min(self):
-        return float(self._asc_w[0])
-
-    @property
-    def omega_max(self):
-        return float(self._asc_w[-1])
+        pv = np.asarray(p_nodes, dtype=float)[::step]
+        wv = np.asarray(w_nodes, dtype=float)[::step]
+        dv = np.asarray(d_nodes, dtype=float)[::step]
+        self._asc_p = pv.tolist()
+        self._asc_w = wv.tolist()
+        self.omega_min = self._asc_w[0]
+        self.omega_max = self._asc_w[-1]
+        dp = pv[1:] - pv[:-1]
+        dw = wv[1:] - wv[:-1]
+        da, db = dv[:-1], dv[1:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ma = np.where(da != 0.0, dw / da, np.inf)
+            mb = np.where(db != 0.0, dw / db, np.inf)
+            ra, rb = ma / dp, mb / dp
+            dmin = np.minimum(np.abs(da), np.abs(db))
+            curv = np.where(dmin > 0.0,
+                            2.0 * np.abs(db - da) / (np.abs(dp) * dmin), np.inf)
+        self._ma = array("d", ma)
+        self._mb = array("d", mb)
+        self._hermite = ((0.0 <= ra) & (ra <= 3.0)
+                         & (0.0 <= rb) & (rb <= 3.0)).tobytes()
+        self._curv = array("d", curv)
 
     def __repr__(self):
         arrow = "up" if self.increasing else "down"
@@ -283,7 +315,7 @@ def detect_branches(params: GasParameters, model: PotentialModel,
     branches = []
     for j in range(len(bounds) - 1):
         nodes = np.linspace(bounds[j], bounds[j + 1], 1025)
-        w, slopes = _omega_and_slope(params, model, nodes)
+        w, slopes, _ = _omega_and_slope(params, model, nodes)
         increasing = j % 2 == 0
         d = np.diff(w)
         tol = 1e-12 * max(float(np.max(w)), rt)
@@ -315,9 +347,12 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
     K delta^2 + _SLOPE_RTOL |delta|, with K = 2 |d_b - d_a| / (|p_b - p_a|
     min(|d_a|, |d_b|)) from the node slopes d: four times the secant
     estimate of Newton's constant |omega''| / (2 |omega'|) on the
-    interval.  The step is the last once that bound is at most an ulp of
-    the new iterate.  Otherwise the loop ends on an exact zero, on a step
-    below half an ulp, or when the bracket closes to adjacent floats.
+    interval.  The tangents, their admissibility and K are the branch's
+    stored constants of the interval (DispersionBranch); a call only
+    looks them up.  The step is the last once that bound is at most an
+    ulp of the new iterate.  Otherwise the loop ends on an exact zero, on
+    a step below half an ulp, or when the bracket closes to adjacent
+    floats.
     Either way the result is within a few ulp of a sign change of
     omega(p) - omega, so its energy residual is a few ulp of omega.  A
     loop that runs out (a model whose dispersion is not finite on the
@@ -331,36 +366,45 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
     if omega < wlo - slack or omega > whi + slack:
         raise RangeError(
             f"energy {omega} outside branch range [{wlo}, {whi}]")
-    omega = min(max(omega, wlo), whi)
-    wv, pv, dv = branch._asc_w, branch._asc_p, branch._asc_d
+    # clamps spelled as comparisons: min(max(x, a), b) exactly, and
+    # cheaper than two builtin calls on this hot path
+    if omega < wlo:
+        omega = wlo
+    if omega > whi:
+        omega = whi
+    wv, pv = branch._asc_w, branch._asc_p
     i = bisect_left(wv, omega)
-    i = min(max(i, 1), len(wv) - 1)
+    if i < 1:
+        i = 1
+    if i > len(wv) - 1:
+        i = len(wv) - 1
     pa, pb = pv[i - 1], pv[i]
     lo, hi = (pa, pb) if pa <= pb else (pb, pa)
     if lo == hi:
         return lo
-    wa, da, db = wv[i - 1], dv[i - 1], dv[i]
+    wa = wv[i - 1]
     dp = pb - pa
     dw = wv[i] - wa
     t = (omega - wa) / dw if dw > 0.0 else 0.5
     # Hermite tangents in p per unit t, admitted while 0 <= m/dp <= 3
     # (Fritsch and Carlson), which keeps the cubic inside [lo, hi]
-    ma = dw / da if da != 0.0 else math.inf
-    mb = dw / db if db != 0.0 else math.inf
-    if 0.0 <= ma / dp <= 3.0 and 0.0 <= mb / dp <= 3.0:
+    if branch._hermite[i - 1]:
         t2 = t * t
         p = (pa + t2 * (3.0 - 2.0 * t) * dp
-             + t * (t - 1.0) * ((t - 1.0) * ma + t * mb))
+             + t * (t - 1.0) * ((t - 1.0) * branch._ma[i - 1]
+                                + t * branch._mb[i - 1]))
     else:
         p = pa + t * dp
-    p = min(max(p, lo), hi)
-    dmin = min(abs(da), abs(db))
-    curv = 2.0 * abs(db - da) / (abs(dp) * dmin) if dmin > 0.0 else math.inf
+    if p < lo:
+        p = lo
+    if p > hi:
+        p = hi
+    curv = branch._curv[i - 1]
     sign = 1.0 if branch.increasing else -1.0
     params, model = branch.params, branch.model
     last = hi - lo
     for _ in range(_INVERT_MAXIT):
-        w, slope = _omega_and_slope(params, model, p)
+        w, slope, _ = _omega_and_slope(params, model, p)
         g = sign * (w - omega)
         if g < 0.0:
             lo = p
@@ -373,10 +417,11 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
         q = p - step
         if q == p:
             return p
-        if lo < q < hi and 2.0 * abs(step) <= last:
-            if (curv * abs(step) + _SLOPE_RTOL) * abs(step) <= math.ulp(q):
+        size = abs(step)
+        if lo < q < hi and 2.0 * size <= last:
+            if (curv * size + _SLOPE_RTOL) * size <= math.ulp(q):
                 return q
-            last = abs(step)
+            last = size
         else:
             q = 0.5 * (lo + hi)
             if q == lo or q == hi:

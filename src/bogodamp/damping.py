@@ -31,13 +31,14 @@ import numpy as np
 
 from .bogoliubov import (branch_table, energy_point, first_branch,
                          invert_dispersion, omega_bg, omega_bg_prime,
-                         _omega_scalar)
+                         _coeff_kernel, _coeffs, _dispersion,
+                         _omega_and_slope, _omega_scalar)
 from .errors import DomainError, NearSingularRootError, ParameterError
 from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
 from .potential import PotentialModel
 from .specfun import beliaev_I, landau_Gk, zeta
-from .vertices import _F, _j_arrays, vertex_j
+from .vertices import _F, _j, _j_arrays
 
 __all__ = [
     "DeltaSupport",
@@ -129,13 +130,24 @@ def _resolve_roots(branches, target, q_lo, q_hi):
     slack = 1e-9 * (1.0 + q_hi)
     for b in branches:
         wlo, whi = b.omega_min, b.omega_max
-        if target < wlo - 1e-12 * (1.0 + whi) or target > whi + 1e-12 * (1.0 + whi):
+        edge = 1e-12 * (1.0 + whi)
+        if target < wlo - edge or target > whi + edge:
             continue
-        q = invert_dispersion(b, min(max(target, wlo), whi))
+        # min(max(target, wlo), whi) without the builtin calls
+        t = target
+        if t < wlo:
+            t = wlo
+        if t > whi:
+            t = whi
+        q = invert_dispersion(b, t)
         if q_lo - slack <= q <= q_hi + slack:
-            if not any(abs(q - r) <= 1e-9 * (1.0 + q) for r in out):
+            for r in out:
+                if abs(q - r) <= 1e-9 * (1.0 + q):
+                    break
+            else:
                 out.append(q)
-    return sorted(out)
+    out.sort()
+    return out
 
 
 # Relative energy noise allowed for when the support scan counts roots on
@@ -416,7 +428,12 @@ def _generic_scan(params, model, k, process, quad, support):
     """The scan of reduce_delta_generic on an already detected support.
 
     Its own branch table covers Landau roots up to omega(p_hi) + omega(k),
-    above the energies support.branches may cover.
+    above the energies support.branches may cover.  Each node evaluates
+    the profile once at p, for omega(p) and the coefficients at p, and
+    once (vhat and dvhat) at each root q, for |omega'(q)| and the
+    coefficients at q; the coefficients at k are taken once per rate.
+    They feed vertices._j in the order vertex_j gives them, so the
+    integrand is vertex_j's to the bit.
     """
     w_k = _omega_scalar(params, model, k)
     diag = diagnostics(params, k, w_k)
@@ -427,30 +444,38 @@ def _generic_scan(params, model, k, process, quad, support):
     branches = branch_table(params, model, energy_need)
     beta = params.beta
     theta = beta * w_k
-    rt = math.sqrt(params.nu)
+    nu, v0 = params.nu, model.vhat0
+    rt = math.sqrt(nu)
     beliaev = process == "beliaev"
+    ck = _coeffs(params, model, k)
 
     def inner(p):
         if p <= 0.0:
             return 0.0
-        wp = _omega_scalar(params, model, p)
+        vp = model.vhat(p)
+        wp = _dispersion(p, nu * vp / v0)[0]
         tgt = w_k - wp if beliaev else w_k + wp
         if tgt <= 0.0:
             return 0.0
+        cp = None
         tot = 0.0
         for q in _resolve_roots(branches, tgt, abs(p - k), p + k):
             if q <= 0.0:
                 continue
-            slope = abs(float(omega_bg_prime(params, model, q)))
+            wq, slope, vq = _omega_and_slope(params, model, q)
+            slope = abs(slope)
             if slope < 1e-8 * rt:
                 raise NearSingularRootError(
                     f"conservation root at q = {q} sits on a stationary "
                     f"point of the dispersion (p = {p}, k = {k})")
+            if cp is None:
+                cp = _coeff_kernel(params, model, p, vp, wp)
+            cq = _coeff_kernel(params, model, q, vq, wq)
             if beliaev:
-                jv = vertex_j(params, model, k, p, q)
+                jv = _j(params, ck, cp, cq)
                 wgt = _w_beliaev(beta, wp, tgt)
             else:
-                jv = vertex_j(params, model, q, p, k)
+                jv = _j(params, cq, cp, ck)
                 wgt = _w_landau(beta * wp, theta)
             tot += q * jv * jv * wgt / slope
         return p * tot
@@ -622,6 +647,18 @@ _MC_CHUNK = 1_000_000
 _MC_BLOCK = 1 << 16
 # Guide-table bins of the Landau CDF lookup; a power of two, so u * G is exact.
 _GUIDE_BINS = 1 << 16
+# Smallest theta = beta omega(k) mc_oracle accepts.  Its thermal weights
+# square a numerator of about theta and divide by three factors
+# 1 - exp(-beta w) of about beta w each, at most theta apiece on a decay;
+# at theta = 1e-100 that product, 1e-300, is still a normal float.  The
+# Gaussian v = 0.1 decay at k = 0.3 returns inf from theta = 3e-111 and
+# nan from 3e-166.
+_MC_MIN_THETA = 1e-100
+
+
+def _too_hot(beta, why):
+    return ParameterError(
+        f"beta = {beta:g} is too small for the Monte Carlo oracle: {why}")
 
 
 def _cdf_index(cum, guide, u):
@@ -677,7 +714,10 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     sums run over whole chunks, so the block size moves no bit.  Memory
     is one chunk buffer of values (8 MB) plus block temporaries,
     independent of n_samples.  The absorption radius is drawn by an exact
-    CDF lookup (a guide table, equal to a binary search).
+    CDF lookup (a guide table, equal to a binary search).  Heat beyond
+    what its thermal weights represent in floats (theta = beta omega(k)
+    below _MC_MIN_THETA, or an absorption radius density without a finite
+    total) raises ParameterError naming beta before any draw.
 
     The default epsilon biases the estimate at small k: the Gaussian
     v = 0.3, nu = 1 at k = 0.05, beta = 1000 (2000003 samples, seed 7)
@@ -697,6 +737,10 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError(f"epsilon must be positive, got {eps}")
     beta = params.beta
+    if not beta * w_k >= _MC_MIN_THETA:
+        raise _too_hot(beta, f"beta omega(k) = {beta * w_k:g} is below "
+                             f"{_MC_MIN_THETA:g}, where its thermal weights "
+                             "leave the float range")
 
     if process == "beliaev":
         b = first_branch(params, model, w_k + 5.0 * eps)
@@ -727,7 +771,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         dx = nodes[1] - nodes[0]
         wts = nodes ** 2 * np.exp(-0.5 * beta
                                   * np.minimum(omega_bg(params, model, nodes), 1400.0 / beta))
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (wts[1:] + wts[:-1]) * dx)))
+        with np.errstate(over="ignore"):
+            cum = np.concatenate(([0.0],
+                                  np.cumsum(0.5 * (wts[1:] + wts[:-1]) * dx)))
+        if not (math.isfinite(cum[-1]) and cum[-1] > 0.0):
+            raise _too_hot(beta, f"the absorption radius density on [0, "
+                                 f"{R:g}] has no finite total")
         cum /= cum[-1]
         guide = np.searchsorted(cum, np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS,
                                 side="right") - 1

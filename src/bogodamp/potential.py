@@ -101,7 +101,13 @@ class GaussianPotential(PotentialModel):
         return self.v / (2.0 * self.nu * self.nu) * np.square(k)
 
     def _scalar_vhat(self, k):
-        return self.v * math.exp(-self.v * k ** 2 / (2.0 * self.nu ** 2))
+        try:
+            k2 = k ** 2
+        except OverflowError:
+            # k^2 beyond the float range, where np.square gives inf and
+            # the array path 0.0; the profile underflowed long before
+            return 0.0
+        return self.v * math.exp(-self.v * k2 / (2.0 * self.nu ** 2))
 
     def vhat(self, k):
         if type(k) is float or np.ndim(k) == 0:

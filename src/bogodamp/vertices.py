@@ -3,9 +3,11 @@
 The momentum space vertices j and kappa carry the 1/sqrt(k) coefficient
 singularities of the small momentum limit.  They read the Bogoliubov
 coefficients from bogoliubov._coeffs, one vhat call per momentum.  The
-three term formula of j is written once, in _j: vertex_j feeds it
-validated floats, and _j_arrays, the Monte Carlo oracle's entry, feeds it
-arrays, so the scan and the oracle evaluate the same vertex.
+three term formula of j is written once, in _j, which takes _coeffs
+tuples: vertex_j feeds it validated floats, _j_arrays, the Monte Carlo
+oracle's entry, feeds it arrays, and the generic momentum scan feeds it
+the tuples it builds from the profile values it already holds, so the
+scan, the oracle and vertex_j evaluate the same vertex.
 
 In the energy variables the 1/sqrt(k) factors cancel: regularized_F(omega;
 u, w) is the combination sqrt(8 omega u w) sqrt(nu / vhat0) * j evaluated

@@ -28,6 +28,21 @@ def flat_params(flat_model):
     return make_params(nu=1.0, beta=10.0, vhat0=flat_model.v0)
 
 
+class CountingVhat:
+    """Delegates to a model and counts its vhat calls, floats and arrays apart."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"float": 0, "array": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def vhat(self, k):
+        self.calls["array" if np.ndim(k) else "float"] += 1
+        return self.inner.vhat(k)
+
+
 def gaussian_setup(beta_nu, nu=1.0, two_v_over_nu=0.2):
     """Standard convex Gaussian model plus matching parameter bundle."""
     model = GaussianPotential(v=0.5 * two_v_over_nu * nu, nu=nu)

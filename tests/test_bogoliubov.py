@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import os
@@ -17,7 +18,8 @@ from bogodamp.errors import (AssumptionError, DivergenceError, DomainError,
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
                                 TabulatedPotential, load_tabulated)
-from conftest import concave_table, gaussian_setup, maxon_roton_table
+from conftest import (CountingVhat, concave_table, gaussian_setup,
+                      maxon_roton_table)
 
 
 def flat_setup(nu=1.0, beta=10.0):
@@ -432,6 +434,88 @@ def test_invert_raises_when_the_loop_runs_out(monkeypatch):
         invert_dispersion(br, 0.37)
 
 
+def _reference_invert(br, p_nodes, w_nodes, d_nodes, omega):
+    """invert_dispersion with the Hermite tangents, their admissibility
+    and the Newton constant derived in line from the nodes at each call."""
+    step = 1 if br.increasing else -1
+    wv = list(w_nodes[::step])
+    pv = list(p_nodes[::step])
+    dv = list(d_nodes[::step])
+    omega = min(max(omega, wv[0]), wv[-1])
+    i = min(max(bisect.bisect_left(wv, omega), 1), len(wv) - 1)
+    pa, pb = pv[i - 1], pv[i]
+    lo, hi = (pa, pb) if pa <= pb else (pb, pa)
+    if lo == hi:
+        return lo
+    wa, da, db = wv[i - 1], dv[i - 1], dv[i]
+    dp = pb - pa
+    dw = wv[i] - wa
+    t = (omega - wa) / dw if dw > 0.0 else 0.5
+    ma = dw / da if da != 0.0 else math.inf
+    mb = dw / db if db != 0.0 else math.inf
+    if 0.0 <= ma / dp <= 3.0 and 0.0 <= mb / dp <= 3.0:
+        t2 = t * t
+        p = (pa + t2 * (3.0 - 2.0 * t) * dp
+             + t * (t - 1.0) * ((t - 1.0) * ma + t * mb))
+    else:
+        p = pa + t * dp
+    p = min(max(p, lo), hi)
+    dmin = min(abs(da), abs(db))
+    curv = 2.0 * abs(db - da) / (abs(dp) * dmin) if dmin > 0.0 else math.inf
+    sign = 1.0 if br.increasing else -1.0
+    last = hi - lo
+    for _ in range(bogoliubov._INVERT_MAXIT):
+        w, slope, _ = bogoliubov._omega_and_slope(br.params, br.model, p)
+        g = sign * (w - omega)
+        if g < 0.0:
+            lo = p
+        elif g > 0.0:
+            hi = p
+        elif g == 0.0:
+            return p
+        dg = sign * slope
+        step = g / dg if dg > 0.0 else math.inf
+        q = p - step
+        if q == p:
+            return p
+        if lo < q < hi and 2.0 * abs(step) <= last:
+            if (curv * abs(step) + bogoliubov._SLOPE_RTOL) * abs(step) <= math.ulp(q):
+                return q
+            last = abs(step)
+        else:
+            q = 0.5 * (lo + hi)
+            if q == lo or q == hi:
+                return q
+            last = hi - lo
+        p = q
+    raise AssertionError("reference inversion did not converge")
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_stored_branch_constants_match_the_in_line_formulas(j):
+    """A branch built from synthetic nodes with a node slope of exactly
+    0.0 (the stationary end detect_branches finds when fm == 0.0), one of
+    the wrong sign and one a thousandth of its value (two intervals whose
+    Hermite tangents are not admissible) inverts every energy to the bits
+    of the formulas evaluated at each call."""
+    params, model, brs = _invert_branches("maxon_roton")
+    p = np.linspace(brs[j].p_lo, brs[j].p_hi, 33)
+    w, d, _ = bogoliubov._omega_and_slope(params, model, p)
+    d[-1] = 0.0
+    d[9] = -d[9]
+    d[20] *= 1e-3
+    br = bogoliubov.DispersionBranch(params, model, j, p, w, d, j % 2 == 0)
+    assert not br._hermite[9 if j == 0 else 22]
+    assert not br._hermite[20 if j == 0 else 11]
+    assert br._curv[-1 if j == 0 else 0] == math.inf
+    energies = np.concatenate((w, np.linspace(br.omega_min, br.omega_max,
+                                              997)))
+    for omega in energies.tolist():
+        got = invert_dispersion(br, omega)
+        want = _reference_invert(br, p.tolist(), w.tolist(), d.tolist(), omega)
+        assert got.hex() == want.hex()
+
+
 def test_branch_table_grows_to_cover_energy():
     params, model = gaussian_setup(beta_nu=10.0)
     before = branch_table(params, model, 10.0)
@@ -445,34 +529,19 @@ def test_branch_table_grows_to_cover_energy():
         assert np.array_equal(a._asc_w, b._asc_w)
 
 
-class _CountingVhat:
-    """Delegates to a model and counts its vhat calls, floats and arrays apart."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = {"float": 0, "array": 0}
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def vhat(self, k):
-        self.calls["array" if np.ndim(k) else "float"] += 1
-        return self.inner.vhat(k)
-
-
 @pytest.mark.parametrize("name", ["gaussian", "maxon_roton", "dip"])
 def test_branch_table_makes_one_array_vhat_call_per_branch(name):
     """One call on the scan grid, then one per branch: the node energies
     and slopes come from one kernel call."""
     inner = INVERT_MODELS[name]
-    model = _CountingVhat(inner)
+    model = CountingVhat(inner)
     params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
     brs = detect_branches(params, model, p_max=getattr(inner, "k_max", 8.0))
     assert model.calls["array"] == 1 + len(brs)
 
 
 def test_ground_energy_makes_one_vhat_call_per_node(monkeypatch):
-    model = _CountingVhat(GaussianPotential(v=0.4, nu=1.0))
+    model = CountingVhat(GaussianPotential(v=0.4, nu=1.0))
     params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
     nodes = [0]
     integrate = bogoliubov.integrate_adaptive

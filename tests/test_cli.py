@@ -247,11 +247,10 @@ def test_error_rows_and_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, fault", [
-    (("sweep", "--k", "0.3,1e300", "--beta-nu", "10"), "OverflowError"),
+    (("sweep", "--k", "0.3,1e300", "--beta-nu", "10", "--methods",
+      "asymptotic"), "OverflowError"),
     (("rate", "--k", "0.3", "--beta-nu", "1e-300"), "ZeroDivisionError"),
     (("rate", "--k", "0.3", "--beta-nu", "1e-300", "--methods", "asymptotic"),
-     "ZeroDivisionError"),
-    (("oracle", "--k", "0.3", "--beta-nu", "1e-300", "--samples", "10000"),
      "ZeroDivisionError"),
 ])
 def test_arithmetic_fault_is_an_error_row(capsys, argv, fault):
@@ -266,6 +265,22 @@ def test_arithmetic_fault_is_an_error_row(capsys, argv, fault):
         # the good point still prints its numbers
         assert len(rows) == 2 and float(rows[0][5]) > 0.0
         assert rows[1][5] == rows[1][9] == "error"
+
+
+def test_oracle_at_extreme_heat_names_beta(capsys):
+    # both processes fail before sampling, on beta rather than on k
+    rc = main(["oracle", "--k", "0.3", "--beta-nu", "1e-300",
+               "--samples", "10000"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["beliaev", "landau"]
+    assert all(r[1:] == ["error"] * 5 for r in rows)
+    errs = captured.err.strip().split("\n")
+    assert len(errs) == 2
+    for proc, line in zip(("beliaev", "landau"), errs):
+        assert line.startswith(f"error in oracle ({proc}): beta = 1e-300 is "
+                               "too small for the Monte Carlo oracle")
 
 
 def test_config_file_merge_and_override(tmp_path, capsys):

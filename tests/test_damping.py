@@ -23,7 +23,8 @@ from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
                                 load_tabulated)
 from bogodamp.specfun import landau_Gk, zeta
-from conftest import concave_table, gaussian_setup, maxon_roton_table
+from conftest import (CountingVhat, concave_table, gaussian_setup,
+                      maxon_roton_table)
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +333,25 @@ def test_generic_scan_rate_bits_are_pinned():
     assert res.converged is True
     assert res.value == 2.9838577331267397e-06
     assert res.abs_error == 2.582477447526809e-15
+
+
+@pytest.mark.parametrize("rate, floats", [
+    (gamma_beliaev_quadrature, 1273),
+    (gamma_landau_quadrature, 22543),
+])
+def test_generic_scan_profile_call_budget(rate, floats):
+    """Float vhat calls of a whole scan rate on the maxon table, k = 0.2.
+
+    Each scan node evaluates the profile once at p and once at each
+    conservation root, and the coefficients at k once per rate; support
+    detection and the table build count too.  A scan that evaluated
+    omega(p), omega'(q) and vertex_j's three coefficients each from their
+    own profile call made 2469 (decay) and 41571 (absorption) calls here.
+    """
+    m = CountingVhat(maxon_roton_table())
+    res = rate(make_params(1, 4, m.vhat0), m, 0.2)
+    assert res.method == "generic_scan"
+    assert m.calls == {"float": floats, "array": 17}
 
 
 def test_generic_fallback_detects_support_once(monkeypatch):

@@ -67,6 +67,28 @@ def test_rejects_bad_process():
         mc_oracle(params, model, 0.3, "raman", n_samples=10 ** 5, seed=1)
 
 
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+def test_rejects_extreme_heat_before_sampling(process):
+    """At beta nu = 1e-300 the decay used to return (nan, nan) and the
+    absorption to raise a DomainError about k; both name beta now, and
+    no sampling (no numpy warning) happens first."""
+    params, model = gaussian_setup(beta_nu=1e-300)
+    with mock.patch.object(damping, "_chunk_blocks") as draw:
+        with pytest.raises(ParameterError, match=r"^beta = 1e-300 is too small"):
+            mc_oracle(params, model, 0.3, process, n_samples=10 ** 4)
+    draw.assert_not_called()
+
+
+def test_rejects_a_radius_density_without_finite_total():
+    """theta = beta omega(k) clears the bound at k = 1e60, but the
+    absorption radius reaches 1e110, where r^2 times the cell overflows."""
+    params, model = gaussian_setup(beta_nu=1.0)
+    w_k = damping.omega_bg(params, model, 1e60)
+    params = make_params(nu=1.0, beta=1e-99 / w_k, vhat0=model.vhat0)
+    with pytest.raises(ParameterError, match="radius density on"):
+        mc_oracle(params, model, 1e60, "landau", n_samples=10 ** 4)
+
+
 def test_mollifier_width_override():
     # a wider smearing window changes the estimate smoothly, not wildly
     params, model = gaussian_setup(beta_nu=10.0)

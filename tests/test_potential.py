@@ -46,6 +46,20 @@ def test_gaussian_vectorized_agrees_with_scalar():
         assert vec[i] == pytest.approx(m.vhat(float(k)), rel=1e-14)
 
 
+@pytest.mark.parametrize("k", [1e150, 1e155, 1e200, 1e308])
+def test_gaussian_float_equals_array_at_huge_k(k):
+    """Past k ~ 1.34e154 k^2 overflows: the float path returns the array
+    path's 0.0 and -0.0 instead of raising OverflowError."""
+    m = GaussianPotential(v=0.1, nu=1.0)
+    with np.errstate(over="ignore"):
+        vec, dvec = m.vhat(np.array([k])), m.dvhat(np.array([k]))
+    for got, want in ((m.vhat(k), vec[0]), (m.dvhat(k), dvec[0])):
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+    assert m.vhat(k).hex() == (0.0).hex()
+    assert m.dvhat(k).hex() == (-0.0).hex()
+
+
 def test_flat_profile_and_ramp():
     m = FlatCutoffPotential(v0=2.0, Lambda=3.0)
     assert m.vhat(0.0) == 2.0
