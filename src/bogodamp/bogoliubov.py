@@ -471,10 +471,11 @@ def energy_point(params: GasParameters, model: PotentialModel,
                  branch: DispersionBranch, x: float):
     """Regularized coefficients and measure factor at energy x on a branch.
 
-    Returns (c, s, c - s, nu_x, f) at the momentum p(x): c^2 - s^2 = 2x
+    Returns (s, c, c - s, nu_x, f) at the momentum p(x): c^2 - s^2 = 2x
     exactly, the difference is rationalized as 2x/(c + s) so it vanishes
     bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, and f = 1/(nu NP(p)) is
-    the measure factor of measure_factor_f.
+    the measure factor of measure_factor_f.  The first four slots are in
+    the order of _coeffs, so vertices._vertex reads either tuple.
     """
     p = invert_dispersion(branch, x)
     nu = params.nu
@@ -491,7 +492,7 @@ def energy_point(params: GasParameters, model: PotentialModel,
         raise SingularMeasureError(
             f"measure factor singular at u = {x} (p = {p}): dispersion "
             "slope vanishes")
-    return c, s, 2.0 * x / (c + s), nu_x, 1.0 / (nu * npk)
+    return s, c, 2.0 * x / (c + s), nu_x, 1.0 / (nu * npk)
 
 
 def measure_factor_f(params: GasParameters, model: PotentialModel,

@@ -15,6 +15,11 @@ Three independent evaluation routes are implemented and cross validated:
     estimate of the raw three dimensional integral with a mollified
     delta, both anchoring the quadrature routes from opposite sides.
 
+Both quadrature routes, and with them gamma_*_quadrature and
+reduce_delta_generic, enter through _quadrature_rate: the one place that
+validates, takes omega(k), the diagnostics and the support, and builds a
+DampingResult.  The closed-form laws share _closed_form_scales.
+
 Overall constants trace back to the golden rule rates
 gamma_B = (1/(16 pi^2)) int d3p j(k;p,q)^2 delta(...) T_B and
 gamma_L = (1/(8 pi^2)) int d3p j(q;k,p)^2 delta(...) T_L with q the third
@@ -38,7 +43,7 @@ from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
 from .potential import PotentialModel
 from .specfun import beliaev_I, landau_Gk, zeta
-from .vertices import _F, _j, _j_arrays
+from .vertices import _j, _j_arrays, _vertex
 
 __all__ = [
     "DeltaSupport",
@@ -120,7 +125,7 @@ class DampingResult:
     abs_error: float
     method: str
     diagnostics: RegimeDiagnostics
-    support: DeltaSupport | None
+    support: DeltaSupport
     converged: bool = True
 
 
@@ -313,10 +318,6 @@ def _integrate_pieces(f, pieces, quad):
     return val, err, ok
 
 
-def _empty_result(diag, support):
-    return DampingResult(0.0, 0.0, "energy_quadrature", diag, support, True)
-
-
 def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
                              k: float,
                              quad: QuadratureSpec | None = None) -> DampingResult:
@@ -327,37 +328,7 @@ def gamma_beliaev_quadrature(params: GasParameters, model: PotentialModel,
     energy split (omega +- y)/2.  Falls back to the generic scan when the
     support leaves the first branch.
     """
-    k = _validate_k(k)
-    if quad is None:
-        quad = QuadratureSpec()
-    w_k = _omega_scalar(params, model, k)
-    diag = diagnostics(params, k, w_k)
-    support = detect_support(params, model, k, "beliaev")
-    if not support.segments:
-        return _empty_result(diag, support)
-    if len(support.branches) > 1:
-        return _generic_scan(params, model, k, "beliaev", quad, support)
-
-    branch = support.branches[0]
-    pO = energy_point(params, model, branch, w_k)
-    beta = params.beta
-
-    def gy(y):
-        u = 0.5 * (w_k + y)
-        w = 0.5 * (w_k - y)
-        if u <= 0.0 or w <= 0.0:
-            return 0.0
-        pu = energy_point(params, model, branch, u)
-        pw = energy_point(params, model, branch, w)
-        F = _F(pO, pu, pw)
-        return pu[4] * pw[4] * F * F * _w_beliaev(beta, u, w)
-
-    pieces = [(2.0 * _omega_scalar(params, model, pa) - w_k,
-               2.0 * _omega_scalar(params, model, pb) - w_k)
-              for (pa, pb, _m) in support.segments]
-    val, err, ok = _integrate_pieces(gy, pieces, quad)
-    C = params.vhat0 / (128.0 * math.pi * params.nu * k * w_k)
-    return DampingResult(C * val, C * err, "energy_quadrature", diag, support, ok)
+    return _quadrature_rate(params, model, k, "beliaev", quad, False)
 
 
 def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
@@ -371,38 +342,7 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
     ((1 - e^-t)(1 - e^-t-theta)).  The integrand vanishes linearly at
     t = 0 and the truncated exponential tail is added to the error bound.
     """
-    k = _validate_k(k)
-    if quad is None:
-        quad = QuadratureSpec()
-    w_k = _omega_scalar(params, model, k)
-    diag = diagnostics(params, k, w_k)
-    support = detect_support(params, model, k, "landau")
-    if not support.segments:
-        return _empty_result(diag, support)
-    if len(support.branches) > 1:
-        return _generic_scan(params, model, k, "landau", quad, support)
-
-    beta = params.beta
-    theta = beta * w_k
-    branch = support.branches[0]
-    pk = energy_point(params, model, branch, w_k)
-
-    def gt(t):
-        if t <= 0.0:
-            return 0.0
-        u = t / beta
-        pu = energy_point(params, model, branch, u)
-        pw = energy_point(params, model, branch, u + w_k)
-        F = _F(pw, pu, pk)
-        return F * F * pu[4] * pw[4] * _w_landau(t, theta)
-
-    pieces = [(beta * _omega_scalar(params, model, pa),
-               beta * _omega_scalar(params, model, pb))
-              for (pa, pb, _m) in support.segments]
-    val, err, ok = _integrate_pieces(gt, pieces, quad)
-    C = params.vhat0 / (32.0 * math.pi * params.nu * k * w_k * beta)
-    err += 2.0 * abs(gt(pieces[-1][1]))
-    return DampingResult(C * val, C * err, "energy_quadrature", diag, support, ok)
+    return _quadrature_rate(params, model, k, "landau", quad, False)
 
 
 def reduce_delta_generic(params: GasParameters, model: PotentialModel,
@@ -416,29 +356,101 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
     vanishes makes the reduction singular and raises
     NearSingularRootError rather than returning a polluted number.
     """
+    return _quadrature_rate(params, model, k, process, quad, True)
+
+
+def _quadrature_rate(params, model, k, process, quad, scan):
+    """The one entry of both quadrature rates and of the momentum scan.
+
+    An empty support is a true zero.  The scan runs when asked for or on a
+    multi-branch support, else the process's energy path on its branch;
+    the method names the route asked for unless the scan ran.
+    """
     k = _validate_k(k)
     _check_process(process)
     if quad is None:
         quad = QuadratureSpec()
+    w_k = _omega_scalar(params, model, k)
+    diag = diagnostics(params, k, w_k)
     support = detect_support(params, model, k, process)
-    return _generic_scan(params, model, k, process, quad, support)
+    method = "generic_scan" if scan else "energy_quadrature"
+    if not support.segments:
+        value, error, ok = 0.0, 0.0, True
+    elif scan or len(support.branches) > 1:
+        method = "generic_scan"
+        value, error, ok = _generic_scan(params, model, k, w_k, process,
+                                         quad, support)
+    else:
+        value, error, ok = _ENERGY_PATHS[process](params, model, k, w_k,
+                                                  quad, support)
+    return DampingResult(value, error, method, diag, support, ok)
 
 
-def _generic_scan(params, model, k, process, quad, support):
-    """The scan of reduce_delta_generic on an already detected support.
+def _beliaev_energy_path(params, model, k, w_k, quad, support):
+    """(value, error, ok) of gamma_beliaev_quadrature on the first branch."""
+    branch = support.branches[0]
+    pO = energy_point(params, model, branch, w_k)
+    beta = params.beta
+
+    def gy(y):
+        u = 0.5 * (w_k + y)
+        w = 0.5 * (w_k - y)
+        if u <= 0.0 or w <= 0.0:
+            return 0.0
+        pu = energy_point(params, model, branch, u)
+        pw = energy_point(params, model, branch, w)
+        F = _vertex(pO, pu, pw)
+        return pu[4] * pw[4] * F * F * _w_beliaev(beta, u, w)
+
+    pieces = [(2.0 * _omega_scalar(params, model, pa) - w_k,
+               2.0 * _omega_scalar(params, model, pb) - w_k)
+              for (pa, pb, _m) in support.segments]
+    val, err, ok = _integrate_pieces(gy, pieces, quad)
+    C = params.vhat0 / (128.0 * math.pi * params.nu * k * w_k)
+    return C * val, C * err, ok
+
+
+def _landau_energy_path(params, model, k, w_k, quad, support):
+    """(value, error, ok) of gamma_landau_quadrature on the first branch."""
+    beta = params.beta
+    theta = beta * w_k
+    branch = support.branches[0]
+    pk = energy_point(params, model, branch, w_k)
+
+    def gt(t):
+        if t <= 0.0:
+            return 0.0
+        u = t / beta
+        pu = energy_point(params, model, branch, u)
+        pw = energy_point(params, model, branch, u + w_k)
+        F = _vertex(pw, pu, pk)
+        return F * F * pu[4] * pw[4] * _w_landau(t, theta)
+
+    pieces = [(beta * _omega_scalar(params, model, pa),
+               beta * _omega_scalar(params, model, pb))
+              for (pa, pb, _m) in support.segments]
+    val, err, ok = _integrate_pieces(gt, pieces, quad)
+    C = params.vhat0 / (32.0 * math.pi * params.nu * k * w_k * beta)
+    err += 2.0 * abs(gt(pieces[-1][1]))
+    return C * val, C * err, ok
+
+
+_ENERGY_PATHS = {"beliaev": _beliaev_energy_path,
+                 "landau": _landau_energy_path}
+
+
+def _generic_scan(params, model, k, w_k, process, quad, support):
+    """(value, error, ok) of the momentum scan on a non-empty support.
 
     Its own branch table covers Landau roots up to omega(p_hi) + omega(k),
     above the energies support.branches may cover.  Each node evaluates
     the profile once at p, for omega(p) and the coefficients at p, and
     once (vhat and dvhat) at each root q, for |omega'(q)| and the
-    coefficients at q; the coefficients at k are taken once per rate.
-    They feed vertices._j in the order vertex_j gives them, so the
-    integrand is vertex_j's to the bit.
+    coefficients at q; omega(k) comes from the caller and the
+    coefficients at k are taken once per rate.  They feed vertices._j in
+    the order vertex_j gives them, so the integrand is vertex_j's to the
+    bit.
     """
-    w_k = _omega_scalar(params, model, k)
-    diag = diagnostics(params, k, w_k)
-    if not support.segments:
-        return DampingResult(0.0, 0.0, "generic_scan", diag, support, True)
     energy_need = w_k if process == "beliaev" else (
         _omega_scalar(params, model, support.segments[-1][1]) + w_k)
     branches = branch_table(params, model, energy_need)
@@ -488,11 +500,22 @@ def _generic_scan(params, model, k, process, quad, support):
         slope_b = abs(float(omega_bg_prime(params, model, pb)))
         if slope_b > 0:
             err += 2.0 * abs(inner(pb)) / (beta * slope_b)
-    return DampingResult(C * val, C * err, "generic_scan", diag, support, ok)
+    return C * val, C * err, ok
 
 
 # ---------------------------------------------------------------------------
 # closed form asymptotics
+
+
+def _closed_form_scales(params, k):
+    """(k, vhat0 nu^{3/2}, k/sqrt(nu), beta nu) of the closed-form laws;
+    DomainError unless k is finite and >= 0."""
+    k = float(k)
+    if not math.isfinite(k) or k < 0:
+        raise DomainError(f"k must be finite and >= 0, got {k}")
+    nu = params.nu
+    rt = math.sqrt(nu)
+    return k, params.vhat0 * nu * rt, k / rt, params.beta * nu
 
 
 def gamma_beliaev_asymptotic(params: GasParameters, model: PotentialModel,
@@ -504,13 +527,7 @@ def gamma_beliaev_asymptotic(params: GasParameters, model: PotentialModel,
     high_T: (3 vhat0 nu^{3/2} / 128 pi) (k/sqrt nu)^4 / (beta nu)
     with theta = beta omega(k).  k = 0 gives 0 in every regime.
     """
-    k = float(k)
-    if not math.isfinite(k) or k < 0:
-        raise DomainError(f"k must be finite and >= 0, got {k}")
-    nu, beta, v0 = params.nu, params.beta, params.vhat0
-    base = v0 * nu * math.sqrt(nu)
-    x = k / math.sqrt(nu)
-    bn = beta * nu
+    k, base, x, bn = _closed_form_scales(params, k)
     if regime == "low_T":
         return 3.0 / (640.0 * math.pi) * base * x ** 5
     if regime == "high_T":
@@ -518,7 +535,7 @@ def gamma_beliaev_asymptotic(params: GasParameters, model: PotentialModel,
     if regime == "full":
         if k == 0.0:
             return 0.0
-        theta = beta * _omega_scalar(params, model, k)
+        theta = params.beta * _omega_scalar(params, model, k)
         return 9.0 / (2048.0 * math.pi) * base * x ** 4 * beliaev_I(theta) / bn
     raise ParameterError(f"unknown regime {regime!r}")
 
@@ -533,13 +550,7 @@ def gamma_landau_asymptotic(params: GasParameters, model: PotentialModel,
     low_T_ratio:  (9 zeta(3) vhat0 nu^{3/2} / 16 pi) (k^2/nu) (beta nu)^-3
     with theta = beta omega(k) evaluated on the model dispersion.
     """
-    k = float(k)
-    if not math.isfinite(k) or k < 0:
-        raise DomainError(f"k must be finite and >= 0, got {k}")
-    nu, beta, v0 = params.nu, params.beta, params.vhat0
-    base = v0 * nu * math.sqrt(nu)
-    x = k / math.sqrt(nu)
-    bn = beta * nu
+    k, base, x, bn = _closed_form_scales(params, k)
     if regime == "high_T_ratio":
         return 3.0 * math.pi ** 3 / 40.0 * base * x / bn ** 4
     if regime == "low_T_ratio":
@@ -547,8 +558,8 @@ def gamma_landau_asymptotic(params: GasParameters, model: PotentialModel,
     if regime == "full":
         if k == 0.0:
             return 0.0
-        theta = beta * _omega_scalar(params, model, k)
-        bk = beta * math.sqrt(nu) * k
+        theta = params.beta * _omega_scalar(params, model, k)
+        bk = params.beta * math.sqrt(params.nu) * k
         bracket = (landau_Gk(4, theta) + 2.0 * bk * landau_Gk(3, theta)
                    + bk * bk * landau_Gk(2, theta))
         return 9.0 / (64.0 * math.pi) * base * bracket / bn ** 5
@@ -609,11 +620,9 @@ def gamma_landau_flat_highT(params: GasParameters, k: float) -> float:
     (3 vhat0 nu^{3/2} / 32) (1/(beta nu)) (k/sqrt nu): the kernel
     integral 3 pi / 8 with all constants collected.
     """
-    k = float(k)
-    if not math.isfinite(k) or k < 0:
-        raise DomainError(f"k must be finite and >= 0, got {k}")
-    nu, beta, v0 = params.nu, params.beta, params.vhat0
-    return (3.0 / 32.0) * v0 * nu * math.sqrt(nu) * (k / math.sqrt(nu)) / (beta * nu)
+    _k, _base, x, bn = _closed_form_scales(params, k)
+    # not (3/32) * base, which rounds differently
+    return (3.0 / 32.0) * params.vhat0 * params.nu * math.sqrt(params.nu) * x / bn
 
 
 # ---------------------------------------------------------------------------

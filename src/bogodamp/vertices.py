@@ -2,18 +2,18 @@
 
 The momentum space vertices j and kappa carry the 1/sqrt(k) coefficient
 singularities of the small momentum limit.  They read the Bogoliubov
-coefficients from bogoliubov._coeffs, one vhat call per momentum.  The
-three term formula of j is written once, in _j, which takes _coeffs
-tuples: vertex_j feeds it validated floats, _j_arrays, the Monte Carlo
-oracle's entry, feeds it arrays, and the generic momentum scan feeds it
-the tuples it builds from the profile values it already holds, so the
-scan, the oracle and vertex_j evaluate the same vertex.
+coefficients from bogoliubov._coeffs, one vhat call per momentum.
 
 In the energy variables the 1/sqrt(k) factors cancel: regularized_F(omega;
 u, w) is the combination sqrt(8 omega u w) sqrt(nu / vhat0) * j evaluated
 on shell, finite down to zero energy, vanishing exactly on the lines
 u = omega, w = 0 and u = 0, w = omega, and symmetric under swapping u and
 w as computed.
+
+j and F share one three-term kernel, _vertex: F is it on energy_point
+tuples, and _j is sqrt(nu vhat0) times it on _coeffs tuples, which
+vertex_j, the Monte Carlo oracle's _j_arrays and the generic momentum
+scan all feed, so every route evaluates the same vertex.
 
 The effective potentials V and U act on momentum vectors; their pair
 symmetrisation reproduces j and their six term alternating sum reproduces
@@ -42,16 +42,21 @@ def _positive(name, val):
     return val
 
 
+def _vertex(K, P, Q):
+    """The sum t1 + (t2 + t3) of j and F, exactly symmetric in P and Q.
+
+    K, P and Q are tuples led by (s, c, d, n), read by index: _coeffs
+    tuples (floats or arrays) for j, energy_point tuples for F.
+    """
+    t1 = -K[3] * K[2] * (P[1] * Q[0] + Q[1] * P[0])
+    t2 = P[3] * P[2] * (K[1] * Q[1] + K[0] * Q[0])
+    t3 = Q[3] * Q[2] * (K[1] * P[1] + K[0] * P[0])
+    return t1 + (t2 + t3)
+
+
 def _j(params, K, P, Q):
     """j(k; p, q) from _coeffs tuples at k, p and q, floats or arrays."""
-    sk, ck, dk, shk = K
-    sp, cp, dp, shp = P
-    sq, cq, dq, shq = Q
-    pref = math.sqrt(params.nu * params.vhat0)
-    t1 = -shk * dk * (cp * sq + cq * sp)
-    t2 = shp * dp * (ck * cq + sk * sq)
-    t3 = shq * dq * (ck * cp + sk * sp)
-    return pref * (t1 + (t2 + t3))
+    return math.sqrt(params.nu * params.vhat0) * _vertex(K, P, Q)
 
 
 def vertex_j(params: GasParameters, model: PotentialModel,
@@ -124,21 +129,6 @@ def eff_U(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
 # energy space form
 
 
-def _F(O, a, b):
-    """F(omega; u, w) from energy_point tuples at omega, u and w.
-
-    Summed as t1 + (t2 + t3), which is exactly symmetric under swapping
-    the tuples a and b.
-    """
-    cO, sO, dO, nO, _ = O
-    ca, sa, da, na, _ = a
-    cb, sb, db, nb, _ = b
-    t1 = -nO * dO * (ca * sb + cb * sa)
-    t2 = na * da * (cO * cb + sO * sb)
-    t3 = nb * db * (cO * ca + sO * sa)
-    return t1 + (t2 + t3)
-
-
 def regularized_F(params: GasParameters, model: PotentialModel,
                   omega: float, u: float, w: float) -> float:
     """Energy space vertex F(omega; u, w) on the first dispersion branch.
@@ -163,9 +153,9 @@ def regularized_F(params: GasParameters, model: PotentialModel,
         raise RangeError(
             f"energy {need} beyond the first branch, which tops out at "
             f"{branch.omega_max}")
-    return _F(energy_point(params, model, branch, omega),
-              energy_point(params, model, branch, u),
-              energy_point(params, model, branch, w))
+    return _vertex(energy_point(params, model, branch, omega),
+                   energy_point(params, model, branch, u),
+                   energy_point(params, model, branch, w))
 
 
 def G_of(params: GasParameters, model: PotentialModel, u: float, w: float) -> float:

@@ -246,6 +246,19 @@ def test_error_rows_and_exit_3(tmp_path, capsys):
     assert bad[5] == "error" and bad[9] == "error"
 
 
+def test_singular_root_is_an_error_row(tmp_path, capsys):
+    # the decay scan raises NearSingularRootError at k = 2.26 on this table
+    from conftest import maxon_roton_table
+    path = write_table(tmp_path / "maxon.dat", maxon_roton_table())
+    rc = main(["rate", "--potential", "tabulated", "--table", path,
+               "--k", "2.26", "--beta-nu", "4", "--skip-validation"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    row = captured.out.strip().split("\n")[1].split(",")
+    assert row[3] == row[5] == row[7] == row[9] == "error"
+    assert "stationary point" in captured.err
+
+
 @pytest.mark.parametrize("argv, fault", [
     (("sweep", "--k", "0.3,1e300", "--beta-nu", "10", "--methods",
       "asymptotic"), "OverflowError"),

@@ -7,9 +7,8 @@ import pytest
 from scipy import special
 
 from bogodamp.errors import DomainError
-from bogodamp.specfun import (BELIAEV_I_SWITCH, beliaev_I, beliaev_I_closed,
-                              beliaev_I_quadrature, landau_Gk,
-                              landau_Gk_quadrature, polylog, zeta)
+from bogodamp.specfun import (beliaev_I, beliaev_I_closed, beliaev_I_quadrature,
+                              landau_Gk, landau_Gk_quadrature, polylog, zeta)
 
 mp.mp.dps = 30
 
@@ -114,11 +113,16 @@ def test_I_linear_growth():
     assert abs(beliaev_I(100.0) * 15.0 / (16.0 * 100.0) - 1.0) <= 1e-3
 
 
-def test_I_switch_continuity():
-    eps = 1e-9
-    lo = beliaev_I(BELIAEV_I_SWITCH - eps)
-    hi = beliaev_I(BELIAEV_I_SWITCH + eps)
-    assert abs(lo / hi - 1.0) < 1e-9
+@pytest.mark.parametrize("theta, rel", [
+    (1e-8, 2e-15), (1e-4, 2e-15), (0.05, 2e-15), (0.2, 2e-15), (0.3, 2e-15),
+    (0.4, 2e-12), (0.599, 2e-12), (0.61, 2e-12)])
+def test_I_closed_form_vs_40_digit_mpmath(theta, rel):
+    # the series below theta = 0.6 is near full precision; the polylog
+    # bracket just above it keeps about twelve digits
+    with mp.workdps(40):
+        want = mp_I(theta)
+        got = beliaev_I(theta)
+        assert abs(mp.mpf(got) / want - 1) <= rel
 
 
 def test_I_series_bracket_crossover():
