@@ -29,17 +29,23 @@ def flat_params(flat_model):
 
 
 class CountingVhat:
-    """Delegates to a model and counts its vhat calls, floats and arrays apart."""
+    """Delegates to a model and counts its vhat calls, floats and arrays
+    apart, and the elements of its array calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = {"float": 0, "array": 0}
+        self.elements = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def vhat(self, k):
-        self.calls["array" if np.ndim(k) else "float"] += 1
+        if np.ndim(k):
+            self.calls["array"] += 1
+            self.elements += np.size(k)
+        else:
+            self.calls["float"] += 1
         return self.inner.vhat(k)
 
 

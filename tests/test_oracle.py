@@ -9,17 +9,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bogodamp import damping
-from bogodamp.damping import (MC_MIN_SAMPLES, _cdf_index,
+from bogodamp.bogoliubov import branch_table, omega_bg
+from bogodamp.damping import (MC_MIN_SAMPLES, _cdf_index, _cdf_table,
                               gamma_beliaev_quadrature,
                               gamma_landau_quadrature, mc_oracle)
-from bogodamp.errors import ParameterError
+from bogodamp.errors import ExtrapolationError, ParameterError
 from bogodamp.params import make_params
-from bogodamp.potential import FlatCutoffPotential, load_tabulated
-from conftest import gaussian_setup
+from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
+                                TabulatedPotential, load_tabulated)
+from conftest import CountingVhat, gaussian_setup, maxon_roton_table
 
 DIP = load_tabulated(os.path.join(os.path.dirname(__file__), "data",
                                   "dip_profile.dat"))
 FLAT = FlatCutoffPotential(v0=0.8, Lambda=1.5)
+MAXON = maxon_roton_table()
 
 
 def test_deterministic_for_fixed_seed():
@@ -139,11 +142,125 @@ def test_oracle_bits_are_pinned(name, k, process, eps, n, seed, want):
     assert mc_oracle(params, model, k, process, eps, n, seed) == want
 
 
+@pytest.mark.parametrize("block", [4099, 2 ** 16, 2 ** 17])
+@pytest.mark.parametrize("process,want", [(PINNED[0][2], PINNED[0][6]),
+                                          (PINNED[1][2], PINNED[1][6])])
+def test_block_size_moves_no_bit(monkeypatch, block, process, want):
+    # the work rows are sized by _MC_BLOCK; 1,234,567 samples end in a
+    # partial chunk and a partial block at every size
+    monkeypatch.setattr(damping, "_MC_BLOCK", block)
+    params, model = gaussian_setup(beta_nu=10.0)
+    assert mc_oracle(params, model, 0.3, process, None, 1_234_567, 0) == want
+
+
+def test_draws_past_the_table_raise_as_before():
+    # q reaches past k_max = 2 here; the cull evaluates every draw past
+    # the table, so the error still names the block's largest q
+    grid = np.linspace(0.0, 2.0, 81)
+    model = TabulatedPotential(grid, np.exp(-grid ** 2 / 2))
+    params = make_params(1.0, 10.0, model.vhat0)
+    with pytest.raises(ExtrapolationError) as err:
+        mc_oracle(params, model, 1.2, "beliaev", n_samples=20000, seed=0)
+    assert str(err.value) == ("k = 2.391072890320565 beyond tabulated "
+                              "range [0, 2.0]")
+
+
+def _shell_setup(name, beta_nu):
+    if name == "gaussian":
+        return gaussian_setup(beta_nu=beta_nu)
+    model = {"flat": FLAT, "dip": DIP, "maxon": MAXON}[name]
+    return make_params(1.0, beta_nu, model.vhat0), model
+
+
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+@pytest.mark.parametrize("name", ["gaussian", "flat", "dip", "maxon"])
+def test_shell_cull_is_exact(name, process):
+    """On each block, every draw with |z| < 39 over the whole block, as
+    evaluated without the cull, is a candidate.  And each check bounds
+    every draw's energy sum S: rt + qt <= S for a decay's first check and
+    an absorption's second, rt + qt <= -S for the other two."""
+    blocks = []
+    on_shell = 0
+    third_leg, shell_draws = damping._third_leg, damping._shell_draws
+
+    def leg(r, *args):
+        blocks.append(r.copy())
+        return third_leg(r, *args)
+
+    def draws(shell, ir, q2, iq, *work):
+        nonlocal on_shell
+        c = shell_draws(shell, ir, q2, iq, *work)
+        r = blocks.pop()
+        q = np.sqrt(np.maximum(q2, 0.0))
+        wr = omega_bg(params, model, r)
+        wq = omega_bg(params, model, q)
+        if process == "beliaev":
+            z = (w_k - wr - wq) / eps
+            s = wr + wq
+            sides = (s, -s)
+        else:
+            z = (wq - wr - w_k) / eps
+            s = wq - wr
+            sides = (-s, s)
+        on = np.flatnonzero(np.abs(z) < 39.0)
+        assert np.isin(on, c).all()
+        on_shell += on.size
+        for (rt, qt, _lim), side in zip(shell.checks, sides):
+            bound = rt.take(ir, mode="clip") + qt.take(iq, mode="clip")
+            assert np.all(bound <= side)
+        return c
+
+    with mock.patch.object(damping, "_third_leg", leg), \
+            mock.patch.object(damping, "_shell_draws", draws):
+        for beta_nu in (1.0, 10.0, 1e3):
+            params, model = _shell_setup(name, beta_nu)
+            for k in (0.05, 0.3, 1.0):
+                w_k = omega_bg(params, model, k)
+                for rel in (1e-3, 1e-9):
+                    eps = rel * w_k
+                    mc_oracle(params, model, k, process, eps,
+                              n_samples=MC_MIN_SAMPLES, seed=3)
+    assert not blocks
+    assert on_shell > 100
+
+
+@pytest.mark.parametrize("cells", [97, 4096])
+def test_cell_bounds_hold_across_stationary_points(cells):
+    """On the maxon table, omega anywhere in a cell lies within the cell's
+    bounds; the cells holding the maxon and the roton bound nothing, nor
+    does the entry past the grid."""
+    params = make_params(1.0, 10.0, MAXON.vhat0)
+    branches = branch_table(params, MAXON, 3.0)
+    x = np.linspace(0.0, branches[-1].p_hi, cells + 1)
+    lo, hi = damping._cell_bounds(branches, x, omega_bg(params, MAXON, x))
+    assert len(branches) == 3
+    assert np.isinf(lo).sum() == np.isinf(hi).sum() == 3
+    assert (lo[-1], hi[-1]) == (-np.inf, np.inf)
+    t = np.random.default_rng(0).random((cells, 64))
+    p = x[:-1, None] + t * np.diff(x)[:, None]
+    w = omega_bg(params, MAXON, p.ravel()).reshape(p.shape)
+    assert np.all(lo[:-1, None] <= w) and np.all(w <= hi[:-1, None])
+
+
+@pytest.mark.parametrize("process,elements", [("beliaev", 59877),
+                                              ("landau", 253371)])
+def test_oracle_profile_element_budget(process, elements):
+    """Array profile elements of one call at the workload point (Gaussian
+    v = 0.1, k = 0.3, beta nu = 10, 1e6 samples): the branch scan, the
+    shell tables, omega on the draws the cull keeps and the vertex on the
+    shell.  Evaluating omega at every draw took 2028159 (decay) and
+    2121508 (absorption)."""
+    m = CountingVhat(GaussianPotential(v=0.1, nu=1.0))
+    mc_oracle(make_params(1.0, 10.0, m.vhat0), m, 0.3, process,
+              n_samples=10 ** 6, seed=0)
+    assert m.elements == elements
+
+
 @pytest.mark.parametrize("process", ["beliaev", "landau"])
 def test_oracle_memory_is_bounded(process):
     # blocks of 2^16 samples keep the temporaries small and the draws are
-    # streamed per block (13-14 MiB); whole-chunk evaluation peaked at
-    # 77 MiB (beliaev) and 100 MiB (landau)
+    # streamed per block (11.5 MiB decay, 13.2 MiB absorption); whole-chunk
+    # evaluation peaked at 77 MiB (beliaev) and 100 MiB (landau)
     params, model = gaussian_setup(beta_nu=10.0)
     tracemalloc.start()
     try:
@@ -192,10 +309,6 @@ def test_streamed_rows_equal_the_whole_draw(m):
     assert np.array_equal(np.concatenate(rows1), want[1])
 
 
-def _guide(cum, bins):
-    return np.searchsorted(cum, np.arange(bins + 1) / bins, side="right") - 1
-
-
 def _edge_draws(cum, bins, picks):
     """u in [0, 1): the ends, bin edges j/G and nodes, each also one ulp
     below, plus arbitrary draws."""
@@ -212,9 +325,15 @@ def _edge_draws(cum, bins, picks):
     return np.minimum(np.array(out), top)
 
 
-def _assert_lookup_exact(cum, guide, u):
-    got = _cdf_index(cum, guide, u)
-    want = np.searchsorted(cum, u, side="right") - 1
+def _lookup(cdf, u):
+    n = len(u)
+    return _cdf_index(cdf, u, np.empty(n, np.intp), np.empty(n, np.intp),
+                      np.empty(n), np.empty(n, bool))
+
+
+def _assert_lookup_exact(cdf, u, got=None):
+    got = _lookup(cdf, u) if got is None else got
+    want = np.searchsorted(cdf.cum, u, side="right") - 1
     assert np.array_equal(got, want)
 
 
@@ -242,19 +361,20 @@ def test_cdf_index_equals_searchsorted(head, power, weights, log_bins, picks,
     bins = 2 ** log_bins
     u = np.concatenate((_edge_draws(cum, bins, picks),
                         np.random.default_rng(seed).random(500)))
-    _assert_lookup_exact(cum, _guide(cum, bins), u)
+    _assert_lookup_exact(_cdf_table(cum, bins), u)
 
 
 @pytest.fixture(scope="module")
 def oracle_cdfs():
-    """(cum, guide) of the Landau sampler at k/sqrt(nu) in {0.05, 0.3, 2}
+    """Lookup tables of the Landau sampler at k/sqrt(nu) in {0.05, 0.3, 2}
     and beta*nu in {1, 10, 1e3}, each checked on the oracle's own draws."""
     seen = []
 
-    def spy(cum, guide, u):
-        _assert_lookup_exact(cum, guide, u)
-        seen.append((cum, guide))
-        return _cdf_index(cum, guide, u)
+    def spy(cdf, u, *work):
+        got = _cdf_index(cdf, u, *work)
+        _assert_lookup_exact(cdf, u, got)
+        seen.append(cdf)
+        return got
 
     with mock.patch.object(damping, "_cdf_index", spy):
         for bn in (1.0, 10.0, 1e3):
@@ -269,6 +389,6 @@ def oracle_cdfs():
 @settings(max_examples=60, deadline=None)
 @given(which=st.integers(0, 8), picks=PICKS)
 def test_cdf_index_on_oracle_cdfs(oracle_cdfs, which, picks):
-    cum, guide = oracle_cdfs[which]
-    assert len(guide) == 2 ** 16 + 1
-    _assert_lookup_exact(cum, guide, _edge_draws(cum, 2 ** 16, picks))
+    cdf = oracle_cdfs[which]
+    assert cdf.bins == len(cdf.first) == 2 ** 16
+    _assert_lookup_exact(cdf, _edge_draws(cdf.cum, 2 ** 16, picks))
