@@ -8,23 +8,22 @@ the damping rates themselves by quadrature, asymptotics and Monte Carlo.
 """
 
 from .params import GasParameters, RegimeDiagnostics, diagnostics, make_params
-from .errors import (AssumptionError, BogodampError, DivergenceError,
-                     DomainError, ExtrapolationError, IntegrandError,
-                     NearSingularRootError, ParameterError, RangeError,
-                     SingularityError, SingularMeasureError, SupportError)
+from .errors import (AssumptionError, BogodampError, DomainError,
+                     ExtrapolationError, IntegrandError, NearSingularRootError,
+                     ParameterError, RangeError, SingularityError,
+                     SingularMeasureError, SupportError)
 from .numerics import QuadratureSpec, QuadResult, integrate_adaptive
 from .potential import (AssumptionCheck, AssumptionReport, FlatCutoffPotential,
                         GaussianPotential, PotentialModel, TabulatedPotential,
                         evaluate_vhat, load_tabulated, validate_assumptions)
 from .bogoliubov import (DispersionBranch, bogo_coeffs, branch_table,
-                         detect_branches, first_branch,
-                         ground_state_energy_density, invert_dispersion,
+                         detect_branches, first_branch, invert_dispersion,
                          measure_factor_f, occupation_rho, omega_bg,
                          omega_bg_prime)
 from .vertices import (G_of, eff_U, eff_V, regularized_F, vertex_j,
                        vertex_kappa)
-from .specfun import (beliaev_I, beliaev_I_closed, beliaev_I_quadrature,
-                      landau_Gk, landau_Gk_quadrature, polylog, zeta)
+from .specfun import (beliaev_I, beliaev_I_quadrature, landau_Gk,
+                      landau_Gk_quadrature, polylog, zeta)
 from .damping import (DampingResult, DeltaSupport, detect_support,
                       flat_highT_kernel, flat_highT_kernel_integral,
                       gamma_beliaev_asymptotic, gamma_beliaev_quadrature,
@@ -38,7 +37,7 @@ __all__ = [
     "GasParameters", "RegimeDiagnostics", "diagnostics", "make_params",
     "BogodampError", "ParameterError", "DomainError", "SingularityError",
     "RangeError", "ExtrapolationError", "SingularMeasureError",
-    "AssumptionError", "DivergenceError", "SupportError",
+    "AssumptionError", "SupportError",
     "NearSingularRootError", "IntegrandError",
     "QuadratureSpec", "QuadResult", "integrate_adaptive",
     "PotentialModel", "GaussianPotential", "FlatCutoffPotential",
@@ -46,10 +45,10 @@ __all__ = [
     "AssumptionCheck", "AssumptionReport", "validate_assumptions",
     "DispersionBranch", "omega_bg", "omega_bg_prime", "bogo_coeffs",
     "occupation_rho", "detect_branches", "branch_table", "first_branch",
-    "invert_dispersion", "measure_factor_f", "ground_state_energy_density",
+    "invert_dispersion", "measure_factor_f",
     "vertex_j", "vertex_kappa", "eff_V", "eff_U", "regularized_F", "G_of",
-    "zeta", "polylog", "beliaev_I", "beliaev_I_closed",
-    "beliaev_I_quadrature", "landau_Gk", "landau_Gk_quadrature",
+    "zeta", "polylog", "beliaev_I", "beliaev_I_quadrature", "landau_Gk",
+    "landau_Gk_quadrature",
     "DeltaSupport", "DampingResult", "detect_support",
     "gamma_beliaev_quadrature", "gamma_landau_quadrature",
     "reduce_delta_generic", "gamma_beliaev_asymptotic",

@@ -32,14 +32,12 @@ import functools
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import replace
 
 import numpy as np
 
-from .errors import (AssumptionError, DivergenceError, DomainError,
-                     ExtrapolationError, ParameterError, RangeError,
-                     SingularityError, SingularMeasureError)
-from .numerics import QuadratureSpec, QuadResult, integrate_adaptive
+from .errors import (AssumptionError, DomainError, ExtrapolationError,
+                     ParameterError, RangeError, SingularityError,
+                     SingularMeasureError)
 from .params import GasParameters
 from .potential import PotentialModel, _np_slope
 
@@ -54,7 +52,6 @@ __all__ = [
     "branch_table",
     "first_branch",
     "measure_factor_f",
-    "ground_state_energy_density",
 ]
 
 
@@ -504,40 +501,3 @@ def measure_factor_f(params: GasParameters, model: PotentialModel,
     and the evaluation raises.
     """
     return energy_point(params, model, branch, u)[4]
-
-
-def ground_state_energy_density(params: GasParameters, model: PotentialModel,
-                                quad: QuadratureSpec | None = None) -> QuadResult:
-    """Condensate energy shift density, always <= 0.
-
-    Integrates k^2 (k^2/2 + nu_k - omega(k)) over all momenta with the
-    stable rewriting (k^2/2 + nu_k - omega) = nu_k^2/(k^2/2 + nu_k + omega),
-    exact because omega^2 = (k^2/2 + nu_k)^2 - nu_k^2.  A potential whose
-    profile does not decay makes this integral diverge; that is detected by
-    probing the integrand at three doubling momenta before integrating.
-    """
-    if quad is None:
-        quad = QuadratureSpec()
-    nu, v0 = params.nu, model.vhat0
-
-    def g0(k):
-        nk = nu * model.vhat(k) / v0
-        D = 0.5 * k * k + nk
-        w = _dispersion(k, nk)[0]
-        return k * k * nk * nk / (D + w)
-
-    hint = model.support_hint()
-    K = max(8.0 * math.sqrt(nu), hint if math.isfinite(hint) else 0.0)
-    K = min(K, getattr(model, "k_max", math.inf) / 4.0)
-    probe = [g0(K), g0(2.0 * K), g0(4.0 * K)]
-    if probe[2] > 0.25 * probe[0] and probe[2] > 1e-12 * nu * nu:
-        raise DivergenceError(
-            f"energy integrand does not decay: values {probe} at momenta "
-            f"{K:g}, {2*K:g}, {4*K:g}")
-
-    scale = max(math.sqrt(2.0 * nu), (hint / 4.0) if math.isfinite(hint) else 0.0)
-    spec_used = replace(quad, tail_scale=scale)
-    upper = getattr(model, "k_max", math.inf)
-    res = integrate_adaptive(g0, 0.0, upper, spec_used)
-    c = 1.0 / (4.0 * math.pi ** 2)
-    return QuadResult(-c * res.value, c * res.error, res.ok)

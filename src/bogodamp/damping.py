@@ -30,15 +30,17 @@ and the change of variables to energies gives the energy path constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bogoliubov import (branch_table, energy_point, invert_dispersion,
-                         omega_bg, omega_bg_prime, _coeff_kernel, _coeffs,
-                         _dispersion, _omega_and_slope, _omega_scalar)
-from .errors import DomainError, NearSingularRootError, ParameterError
+                         omega_bg, _coeff_kernel, _coeffs, _dispersion,
+                         _omega_and_slope, _omega_scalar)
+from .errors import (DomainError, IntegrandError, NearSingularRootError,
+                     ParameterError)
 from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
 from .potential import PotentialModel
@@ -108,8 +110,9 @@ class DeltaSupport:
 
     segments are (p_lo, p_hi, roots) stretches with at least one
     conservation root, ascending; a Landau support ends at the thermal
-    cutoff.  branches is the branch table the roots were counted on: the
-    energy path evaluates on a single branch, else the generic scan runs.
+    cutoff.  branches is the branch table the roots were counted on, and
+    both routes evaluate on it: the energy path on a single branch, else
+    the generic scan, which resolves its roots on the same table.
     Supports compare by their segments.
     """
 
@@ -442,18 +445,16 @@ _ENERGY_PATHS = {"beliaev": _beliaev_energy_path,
 def _generic_scan(params, model, k, w_k, process, quad, support):
     """(value, error, ok) of the momentum scan on a non-empty support.
 
-    Its own branch table covers Landau roots up to omega(p_hi) + omega(k),
-    above the energies support.branches may cover.  Each node evaluates
-    the profile once at p, for omega(p) and the coefficients at p, and
-    once (vhat and dvhat) at each root q, for |omega'(q)| and the
+    Roots are resolved on support.branches, the table detect_support
+    counted them on and the energy paths evaluate on.  Each node
+    evaluates the profile once at p, for omega(p) and the coefficients at
+    p, and once (vhat and dvhat) at each root q, for |omega'(q)| and the
     coefficients at q; omega(k) comes from the caller and the
     coefficients at k are taken once per rate.  They feed vertices._j in
     the order vertex_j gives them, so the integrand is vertex_j's to the
     bit.
     """
-    energy_need = w_k if process == "beliaev" else (
-        _omega_scalar(params, model, support.segments[-1][1]) + w_k)
-    branches = branch_table(params, model, energy_need)
+    branches = support.branches
     beta = params.beta
     theta = beta * w_k
     nu, v0 = params.nu, model.vhat0
@@ -497,7 +498,7 @@ def _generic_scan(params, model, k, w_k, process, quad, support):
     C = 1.0 / ((8.0 if beliaev else 4.0) * math.pi * k)
     if not beliaev:
         pb = support.segments[-1][1]
-        slope_b = abs(float(omega_bg_prime(params, model, pb)))
+        slope_b = abs(_omega_and_slope(params, model, pb)[1])
         if slope_b > 0:
             err += 2.0 * abs(inner(pb)) / (beta * slope_b)
     return C * val, C * err, ok
@@ -668,6 +669,8 @@ _MIN_NORMAL = 2.0 ** -1022
 # Gaussian v = 0.1 decay at k = 0.3 returns inf from theta = 3e-111 and
 # nan from 3e-166.
 _MC_MIN_THETA = 1e-100
+# Decay ball radii below this one have a finite volume 4 pi R^3 / 3.
+_MC_MAX_RADIUS = (sys.float_info.max / (4.0 * math.pi / 3.0)) ** (1.0 / 3.0)
 
 
 def _too_hot(beta, why):
@@ -848,7 +851,9 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     equal to a binary search).  Heat beyond what its thermal weights
     represent in floats (theta = beta omega(k) below _MC_MIN_THETA, or an
     absorption radius density without a finite total) raises
-    ParameterError naming beta before any draw.
+    ParameterError naming beta before any draw, and so does a decay ball
+    without a finite volume, naming k.  An estimate or a standard error
+    that leaves the float range raises IntegrandError.
 
     Only draws that can reach the mollified shell |z| < 39 are evaluated,
     a squeeze (Marsaglia 1977): bounds of omega on 4096 cells of r (the
@@ -900,6 +905,10 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         energy = w_k + 5.0 * eps
         branches = branch_table(params, model, energy)
         R = invert_dispersion(branches[0], energy)
+        if not R < _MC_MAX_RADIUS:
+            raise ParameterError(
+                f"k = {k:g} is too large for the Monte Carlo oracle: its "
+                f"decay ball of radius {R:g} has no finite volume")
         vol = 4.0 * math.pi / 3.0 * R ** 3
         pref = 1.0 / (16.0 * math.pi ** 2)
         h = max(R / _SHELL_CELLS, _MIN_NORMAL)
@@ -1002,14 +1011,20 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
             values(u0, u1, g[s:s + len(u0)])
         # free this chunk's draw buffers before the next chunk allocates its own
         del u0, u1
-        total += float(np.sum(g))
-        total_sq += float(np.sum(np.square(g, out=g)))
+        # an overflow here leaves a non-finite sum, which raises below
+        with np.errstate(over="ignore"):
+            total += float(np.sum(g))
+            total_sq += float(np.sum(np.square(g, out=g)))
         done += m
         chunk += 1
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     est = pref * mean
     stderr = pref * math.sqrt(var / n_samples)
+    if not (math.isfinite(est) and math.isfinite(stderr)):
+        raise IntegrandError(
+            f"Monte Carlo {process} estimate {est!r} +- {stderr!r} is not "
+            "finite: the per-draw values leave the float range")
     return est, stderr
 
 

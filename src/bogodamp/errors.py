@@ -33,10 +33,6 @@ class AssumptionError(BogodampError):
     """The potential model violates an assumption the computation needs."""
 
 
-class DivergenceError(BogodampError):
-    """A non-integrable tail was detected."""
-
-
 class SupportError(BogodampError):
     """Energy conservation support could not be resolved."""
 

@@ -2,7 +2,10 @@
 
 Only what the damping laws need is implemented: Li_n(z) for integer
 n in [2, 8] and real z in [0, 1], the Riemann zeta values backing it,
-the Beliaev kernel I(theta), and the Landau moment kernels G_k(theta).
+the Beliaev kernel I(theta) (beliaev_I, its closed form), and the Landau
+moment kernels G_k(theta) (landau_Gk).  beliaev_I_quadrature and
+landau_Gk_quadrature integrate the defining integrals; they check the
+closed forms and no rate calls them.
 
 Evaluation strategy for Li_n(e^-theta):
   * z <= 0.92: the defining series sum z^j / j^n with the standard tail
@@ -31,7 +34,6 @@ __all__ = [
     "zeta",
     "polylog",
     "beliaev_I",
-    "beliaev_I_closed",
     "beliaev_I_quadrature",
     "landau_Gk",
     "landau_Gk_quadrature",
@@ -182,8 +184,8 @@ def beliaev_I_quadrature(theta: float, spec: QuadratureSpec | None = None) -> fl
     return theta * (-math.expm1(-theta)) * res.value
 
 
-def beliaev_I_closed(theta: float) -> float:
-    """The polylogarithm closed form of I(theta).
+def beliaev_I(theta: float) -> float:
+    """I(theta) by its polylogarithm closed form.
 
     I = 32 theta [ 1/30 + 4 (z3 - Li3)/theta^3 - 24 (z4 + Li4)/theta^4
                    + 48 (z5 - Li5)/theta^5 ],  all Li at e^-theta.
@@ -195,6 +197,8 @@ def beliaev_I_closed(theta: float) -> float:
     the crossover and is exact in the limit.  The limits I(0) = 16/3 and
     I -> 16 theta / 15 pin the overall normalisation; a closed form
     carrying a stray overall factor (1 - e^-theta) fails the first one.
+    Within 1.5e-15 of a 40 digit integral up to theta = 0.3 and 2e-12 on
+    (0.3, 0.7); monotone increasing from 16/3 towards 16/15 theta.
     """
     theta = _check_theta(theta)
     if theta < _I_SERIES_CUT:
@@ -208,14 +212,6 @@ def beliaev_I_closed(theta: float) -> float:
                - 24.0 * (zeta(4) + polylog(4, z)) / t4
                + 48.0 * (zeta(5) - polylog(5, z)) / t5)
     return 32.0 * theta * bracket
-
-
-def beliaev_I(theta: float) -> float:
-    """I(theta) by its closed form, beliaev_I_closed: within 1.5e-15 of a
-    40 digit integral up to theta = 0.3 and 2e-12 on (0.3, 0.7).  Monotone
-    increasing from 16/3 towards the linear growth 16/15 theta.
-    """
-    return beliaev_I_closed(theta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ on shell, finite down to zero energy, vanishing exactly on the lines
 u = omega, w = 0 and u = 0, w = omega, and symmetric under swapping u and
 w as computed.
 
-j and F share one three-term kernel, _vertex: F is it on energy_point
-tuples, and _j is sqrt(nu vhat0) times it on _coeffs tuples, which
-vertex_j, the Monte Carlo oracle's _j_arrays and the generic momentum
-scan all feed, so every route evaluates the same vertex.
+j, F and kappa share one three-term kernel, _vertex: F is it on
+energy_point tuples, and _j is sqrt(nu vhat0) times it on _coeffs tuples,
+which vertex_j, the Monte Carlo oracle's _j_arrays and the generic
+momentum scan all feed, so every route evaluates the same vertex.  kappa
+is minus _j with s and c swapped and c - s negated at k; floating point
+sums and products commute and negation is exact, so that is the
+written-out kappa sum to the bit.
 
 The effective potentials V and U act on momentum vectors; their pair
 symmetrisation reproduces j and their six term alternating sum reproduces
@@ -75,18 +78,17 @@ def vertex_j(params: GasParameters, model: PotentialModel,
 
 def vertex_kappa(params: GasParameters, model: PotentialModel,
                  k: float, p: float, q: float) -> float:
-    """Cubic vertex kappa(k, p, q), fully symmetric, coupling fixed to one."""
+    """Cubic vertex kappa(k, p, q), fully symmetric, coupling fixed to one.
+
+    Minus j with the tuple at k read as (c, s, -(c - s), vhat(k)/vhat0):
+    the three terms of kappa are those of _vertex with s and c swapped at k.
+    """
     k = _positive("k", k)
     p = _positive("p", p)
     q = _positive("q", q)
-    sk, ck, dk, shk = _coeffs(params, model, k)
-    sp, cp, dp, shp = _coeffs(params, model, p)
-    sq, cq, dq, shq = _coeffs(params, model, q)
-    pref = math.sqrt(params.nu * params.vhat0)
-    t1 = shk * dk * (cp * sq + cq * sp)
-    t2 = shp * dp * (ck * sq + sk * cq)
-    t3 = shq * dq * (cp * sk + sp * ck)
-    return -pref * (t1 + (t2 + t3))
+    s, c, d, n = _coeffs(params, model, k)
+    return -_j(params, (c, s, -d, n), _coeffs(params, model, p),
+               _coeffs(params, model, q))
 
 
 def eff_V(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from bogodamp import bogoliubov, damping
 from bogodamp.bogoliubov import (bogo_coeffs, branch_table, detect_branches,
-                                 first_branch, ground_state_energy_density,
-                                 invert_dispersion, measure_factor_f,
-                                 occupation_rho, omega_bg, omega_bg_prime)
-from bogodamp.errors import (AssumptionError, DivergenceError, DomainError,
-                             RangeError, SingularMeasureError)
+                                 first_branch, invert_dispersion,
+                                 measure_factor_f, occupation_rho, omega_bg,
+                                 omega_bg_prime)
+from bogodamp.errors import (AssumptionError, DomainError, RangeError,
+                             SingularMeasureError)
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
                                 TabulatedPotential, load_tabulated)
@@ -540,25 +540,6 @@ def test_branch_table_makes_one_array_vhat_call_per_branch(name):
     assert model.calls["array"] == 1 + len(brs)
 
 
-def test_ground_energy_makes_one_vhat_call_per_node(monkeypatch):
-    model = CountingVhat(GaussianPotential(v=0.4, nu=1.0))
-    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
-    nodes = [0]
-    integrate = bogoliubov.integrate_adaptive
-
-    def counted(f, a, b, spec):
-        def g(k):
-            nodes[0] += 1
-            return f(k)
-        return integrate(g, a, b, spec)
-
-    monkeypatch.setattr(bogoliubov, "integrate_adaptive", counted)
-    assert ground_state_energy_density(params, model).ok
-    # three decay probes, then the quadrature's nodes
-    assert nodes[0] > 100
-    assert model.calls == {"float": 3 + nodes[0], "array": 0}
-
-
 def test_measure_factor_flat():
     params, model = flat_setup()
     br = detect_branches(params, model, p_max=20.0)[0]
@@ -594,50 +575,3 @@ def test_measure_factor_singular_at_turning_point():
     top = brs[0].omega_max                     # local max of the dispersion
     with pytest.raises((SingularMeasureError, RangeError)):
         measure_factor_f(params, model, brs[0], top)
-
-
-def test_ground_energy_nonpositive_and_converged():
-    model = GaussianPotential(v=0.4, nu=1.0)
-    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
-    res = ground_state_energy_density(params, model)
-    assert res.ok
-    assert res.value < 0.0
-    assert abs(res.error) <= 1e-6 * abs(res.value)
-
-
-def test_ground_energy_simpson_cross_check():
-    model = GaussianPotential(v=0.4, nu=1.0)
-    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
-    res = ground_state_energy_density(params, model)
-
-    # independent fixed-grid Simpson evaluation of the same integrand
-    nu, v0 = params.nu, model.vhat0
-
-    def g0(k):
-        nk = nu * model.vhat(k) / v0
-        D = 0.5 * k * k + nk
-        w = omega_bg(params, model, k) if k > 0 else 0.0
-        return k * k * nk * nk / (D + w)
-
-    K = 40.0                                   # integrand ~ 1e-70 out here
-    n = 20001
-    xs = np.linspace(0.0, K, n)
-    ys = np.array([g0(float(x)) for x in xs])
-    h = xs[1] - xs[0]
-    simpson = h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
-    want = -simpson / (4.0 * math.pi ** 2)
-    assert res.value == pytest.approx(want, rel=1e-6)
-
-
-def test_ground_energy_integrand_sign():
-    # k^2/2 + nu_k >= omega pointwise, so the energy shift is <= 0
-    params, model = gaussian_setup(beta_nu=10.0)
-    for k in np.geomspace(1e-3, 20.0, 50):
-        nu_k = params.nu * model.vhat(k) / model.vhat0
-        assert 0.5 * k * k + nu_k >= omega_bg(params, model, float(k)) - 1e-15
-
-
-def test_ground_energy_flat_diverges():
-    params, model = flat_setup()
-    with pytest.raises(DivergenceError):
-        ground_state_energy_density(params, model)

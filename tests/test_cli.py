@@ -296,6 +296,20 @@ def test_oracle_at_extreme_heat_names_beta(capsys):
                                "too small for the Monte Carlo oracle")
 
 
+def test_oracle_non_finite_stderr_is_an_error_row(capsys):
+    # the decay's sum of squares overflows; this printed
+    # 9.544804953680459e+176,nan and exited 0
+    rc = main(["sweep", "--raw", "--k", "1e-150", "--beta-nu", "1e60",
+               "--epsilon", "1e-30", "--samples", "10000", "--methods", "mc",
+               "--rates", "beliaev", "--skip-validation"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert len(rows) == 1 and rows[0][5] == rows[0][6] == "error"
+    assert "Monte Carlo beliaev estimate" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep setup\nbeta-nu = 10\nk = 0.3\nv = 0.1\n")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +14,7 @@ from bogodamp.bogoliubov import branch_table, omega_bg
 from bogodamp.damping import (MC_MIN_SAMPLES, _cdf_index, _cdf_table,
                               gamma_beliaev_quadrature,
                               gamma_landau_quadrature, mc_oracle)
-from bogodamp.errors import ExtrapolationError, ParameterError
+from bogodamp.errors import ExtrapolationError, IntegrandError, ParameterError
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
                                 TabulatedPotential, load_tabulated)
@@ -90,6 +91,37 @@ def test_rejects_a_radius_density_without_finite_total():
     params = make_params(nu=1.0, beta=1e-99 / w_k, vhat0=model.vhat0)
     with pytest.raises(ParameterError, match="radius density on"):
         mc_oracle(params, model, 1e60, "landau", n_samples=10 ** 4)
+
+
+@pytest.mark.parametrize("beta, k", [(1e-250, 1e150), (1.0, 1e150),
+                                     (1e-30, 1e153)])
+def test_rejects_a_decay_ball_without_finite_volume_before_sampling(beta, k):
+    """4 pi R^3 / 3 used to raise a bare OverflowError once R passed about
+    5.6e102; a radius whose ball has no finite volume raises a
+    ParameterError naming k, and nothing is drawn first."""
+    model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(nu=1.0, beta=beta, vhat0=model.vhat0)
+    with mock.patch.object(damping, "_chunk_blocks") as draw:
+        with pytest.raises(ParameterError, match=re.escape(
+                f"k = {k:g} is too large for the Monte Carlo oracle")):
+            mc_oracle(params, model, k, "beliaev", n_samples=10 ** 4)
+    draw.assert_not_called()
+
+
+def test_decay_ball_volume_bound_is_finite():
+    R = damping._MC_MAX_RADIUS
+    assert math.isfinite(4.0 * math.pi / 3.0 * math.nextafter(R, 0.0) ** 3)
+
+
+@pytest.mark.parametrize("beta_nu, k", [(1e60, 1e-150), (1e300, 1e-310)])
+def test_non_finite_estimate_raises(beta_nu, k):
+    """The decay's per-draw values overflow in the whole-chunk sums,
+    which returned (9.9e176, nan) and (inf, nan) with only a numpy
+    warning; any other warning still fails the test."""
+    params, model = gaussian_setup(beta_nu=beta_nu)
+    with pytest.raises(IntegrandError, match="is not finite"):
+        mc_oracle(params, model, k, "beliaev", epsilon=1e-30,
+                  n_samples=10 ** 4)
 
 
 def test_mollifier_width_override():

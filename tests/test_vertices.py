@@ -79,6 +79,106 @@ def test_kappa_fully_symmetric():
             assert v == pytest.approx(vals[0], rel=1e-13)
 
 
+# (k, p, q, kappa) on uniform(0.05, 4) triples of default_rng(20261019),
+# from the written-out three-term kappa sum, before kappa read _vertex
+KAPPA_PINS = {
+    "gaussian": [
+        (1.0482842666683034, 2.9667086961269233, 0.6351892043774926,
+         -0.4372351401835729),
+        (2.1613761256926223, 1.6440597911929749, 3.8329157392479725,
+         -0.13946383091088696),
+        (3.7562642287867076, 1.1808585228606931, 3.160788731356662,
+         -0.14386952341494816),
+        (1.6189534419695453, 1.9924909433817526, 0.6171581131644971,
+         -0.45291507136102205),
+        (1.5323577143078868, 1.4360280209164988, 2.1101514059503863,
+         -0.2828670633336265),
+        (2.312362785386231, 3.720453211859097, 1.7695288689362965,
+         -0.12696585379310318),
+        (0.8041512969032242, 1.1763427776591064, 0.9980153673951929,
+         -0.5436839213663062),
+        (1.8537194666445682, 2.2743181149677, 0.127157249118183,
+         -0.9871735644021117),
+        (2.2053825486947143, 3.9850546139592726, 2.4628371994826614,
+         -0.09119305248534212),
+        (2.72824648174313, 1.5607823612486673, 3.950777163361155,
+         -0.11859539391368376),
+        (1.6671810435007444, 0.37906844785545146, 1.5484107142527344,
+         -0.624847740156549),
+        (1.2013382390709886, 0.28730787943734537, 1.2994622618876297,
+         -0.7915492936015933),
+    ],
+    "flat": [
+        (1.0482842666683034, 2.9667086961269233, 0.6351892043774926,
+         -1.825933037161129),
+        (2.1613761256926223, 1.6440597911929749, 3.8329157392479725,
+         -0.7901978707523677),
+        (3.7562642287867076, 1.1808585228606931, 3.160788731356662,
+         -0.8918579457548865),
+        (1.6189534419695453, 1.9924909433817526, 0.6171581131644971,
+         -1.7092878096837814),
+        (1.5323577143078868, 1.4360280209164988, 2.1101514059503863,
+         -1.1281642845599693),
+        (2.312362785386231, 3.720453211859097, 1.7695288689362965,
+         -0.7340804579222147),
+        (0.8041512969032242, 1.1763427776591064, 0.9980153673951929,
+         -1.8465317999512443),
+        (1.8537194666445682, 2.2743181149677, 0.127157249118183,
+         -3.8811682420276767),
+        (2.2053825486947143, 3.9850546139592726, 2.4628371994826614,
+         -0.6060669359343898),
+        (2.72824648174313, 1.5607823612486673, 3.950777163361155,
+         -0.7408546130129461),
+        (1.6671810435007444, 0.37906844785545146, 1.5484107142527344,
+         -2.2572826945186613),
+        (1.2013382390709886, 0.28730787943734537, 1.2994622618876297,
+         -2.7093441103192517),
+    ],
+    "maxon": [
+        (1.0482842666683034, 2.9667086961269233, 0.6351892043774926,
+         -0.9465425551072659),
+        (2.1613761256926223, 1.6440597911929749, 3.8329157392479725,
+         -0.07327251480031098),
+        (3.7562642287867076, 1.1808585228606931, 3.160788731356662,
+         -0.38182860632726273),
+        (1.6189534419695453, 1.9924909433817526, 0.6171581131644971,
+         0.38115141962004484),
+        (1.5323577143078868, 1.4360280209164988, 2.1101514059503863,
+         0.04548762136690373),
+        (2.312362785386231, 3.720453211859097, 1.7695288689362965,
+         -0.07037814719704913),
+        (0.8041512969032242, 1.1763427776591064, 0.9980153673951929,
+         -0.9562798303164556),
+        (1.8537194666445682, 2.2743181149677, 0.127157249118183,
+         1.7074971384855617),
+        (2.2053825486947143, 3.9850546139592726, 2.4628371994826614,
+         -0.05077013307702605),
+        (2.72824648174313, 1.5607823612486673, 3.950777163361155,
+         -0.08454399728469467),
+        (1.6671810435007444, 0.37906844785545146, 1.5484107142527344,
+         0.3349299000832379),
+        (1.2013382390709886, 0.28730787943734537, 1.2994622618876297,
+         -0.9239509310524854),
+    ],
+}
+
+
+def _pin_setup(name):
+    if name == "gaussian":
+        return gaussian_setup(beta_nu=10.0)
+    if name == "flat":
+        return flat_setup()
+    model = maxon_roton_table()
+    return make_params(nu=1.0, beta=10.0, vhat0=model.vhat0), model
+
+
+@pytest.mark.parametrize("name", sorted(KAPPA_PINS))
+def test_kappa_bits_are_pinned(name):
+    params, model = _pin_setup(name)
+    for k, p, q, want in KAPPA_PINS[name]:
+        assert repr(vertex_kappa(params, model, k, p, q)) == repr(want)
+
+
 def test_vertices_reject_zero_momentum():
     params, model = gaussian_setup(beta_nu=10.0)
     with pytest.raises(SingularityError):
@@ -110,7 +210,8 @@ def test_v_identity_collinear():
 def six_term_u_sum(params, model, k_vec, p_vec):
     """Sum of U over the six splittings of the (k, p, k-p) triangle."""
     terms = [(k_vec, -p_vec), (-p_vec, k_vec), (p_vec, k_vec - p_vec),
-             (p_vec - k_vec, k_vec), (k_vec, p_vec - k_vec),
+             (p_vec - k_vec, k_vec), (k_vec,
+         p_vec - k_vec),
              (k_vec - p_vec, p_vec)]
     return sum(eff_U(params, model, a, b) for a, b in terms)
 
