@@ -16,9 +16,10 @@ Three independent evaluation routes are implemented and cross validated:
     delta, both anchoring the quadrature routes from opposite sides.
 
 Both quadrature routes, and with them gamma_*_quadrature and
-reduce_delta_generic, enter through _quadrature_rate: the one place that
-validates, takes omega(k), the diagnostics and the support, and builds a
-DampingResult.  The closed-form laws share _closed_form_scales.
+reduce_delta_generic, enter through _quadrature_rate, which builds a
+DampingResult on the record detect_support returns: the one place that
+validates k and the process and takes omega(k), for every route.  The
+closed-form laws share _closed_form_scales.
 
 Overall constants trace back to the golden rule rates
 gamma_B = (1/(16 pi^2)) int d3p j(k;p,q)^2 delta(...) T_B and
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -113,13 +115,15 @@ class DeltaSupport:
     cutoff.  branches is the branch table the roots were counted on, and
     both routes evaluate on it: the energy path on a single branch, else
     the generic scan, which resolves its roots on the same table.
-    Supports compare by their segments.
+    omega_k is omega(k) for every route.  Supports compare by process, k
+    and segments.
     """
 
     process: str
     k: float
     segments: tuple
     branches: tuple = field(compare=False)
+    omega_k: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -230,12 +234,14 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
                    process: str) -> DeltaSupport:
     """Locate the stretches of partner momentum carrying conservation roots.
 
-    For the decay process the partner runs over [0, k]; for absorption it
-    runs to the thermal cutoff momentum.  Root counts are sampled on an
-    interior grid of 255 points and count transitions are refined by
-    bisection, so narrow support slivers below the grid resolution would
-    be missed; for convex dispersions the count is constant and the
-    support is the full interval.
+    The one place a quadrature rate validates k and the process and takes
+    omega(k); a non-finite omega(k) raises DomainError.  For the decay
+    process the partner runs over [0, k]; for absorption it runs to the
+    thermal cutoff momentum.  Root counts are sampled on an interior grid
+    of 255 points and count transitions are refined by bisection, so
+    narrow support slivers below the grid resolution would be missed; for
+    convex dispersions the count is constant and the support is the full
+    interval.
 
     The grid counts are taken on arrays, without inverting the dispersion
     (_grid_counts): on each monotone branch a root lies in the allowed
@@ -244,15 +250,16 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     within the margin (a momentum margin of 4e-13 max(p_hi, 1) on each
     end, far wider than the inversion's few ulp, an energy noise of
     1e-13 (omega(k) + omega(p)), and the 1e-12 energy slack around every
-    branch edge) is
-    recounted by inverting branch by branch, so every count, and with it
-    every segment, equals the one full inversion gives.  The bisection
-    and the per-segment counts invert as well; they run only where the
-    count changes.
+    branch edge) is recounted by inverting branch by branch, so every
+    count, and with it every segment, equals the one full inversion
+    gives.  The bisection and the per-segment counts invert as well; they
+    run only where the count changes.
     """
     k = _validate_k(k)
     _check_process(process)
     w_k = _omega_scalar(params, model, k)
+    if not math.isfinite(w_k):
+        raise DomainError(f"omega_k must be finite and >= 0, got {w_k!r}")
     beta = params.beta
     p_lo = 0.0
     if process == "beliaev":
@@ -306,7 +313,7 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
             if cmid > 0:
                 segments.append((a, b, cmid))
         segments = tuple(segments)
-    return DeltaSupport(process, k, segments, branches)
+    return DeltaSupport(process, k, segments, branches, w_k)
 
 
 def _integrate_pieces(f, pieces, quad):
@@ -365,33 +372,29 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
 def _quadrature_rate(params, model, k, process, quad, scan):
     """The one entry of both quadrature rates and of the momentum scan.
 
-    An empty support is a true zero.  The scan runs when asked for or on a
-    multi-branch support, else the process's energy path on its branch;
-    the method names the route asked for unless the scan ran.
+    Every route reads k, omega(k) and the process from detect_support's
+    record.  An empty support is a true zero.  The scan runs when asked
+    for or on a multi-branch support, else the process's energy path on
+    its branch; the method names the route asked for unless the scan ran.
     """
-    k = _validate_k(k)
-    _check_process(process)
+    support = detect_support(params, model, k, process)
     if quad is None:
         quad = QuadratureSpec()
-    w_k = _omega_scalar(params, model, k)
-    diag = diagnostics(params, k, w_k)
-    support = detect_support(params, model, k, process)
+    diag = diagnostics(params, support.k, support.omega_k)
     method = "generic_scan" if scan else "energy_quadrature"
     if not support.segments:
         value, error, ok = 0.0, 0.0, True
-    elif scan or len(support.branches) > 1:
-        method = "generic_scan"
-        value, error, ok = _generic_scan(params, model, k, w_k, process,
-                                         quad, support)
     else:
-        value, error, ok = _ENERGY_PATHS[process](params, model, k, w_k,
-                                                  quad, support)
+        route = _ENERGY_PATHS[support.process]
+        if scan or len(support.branches) > 1:
+            method, route = "generic_scan", _generic_scan
+        value, error, ok = route(params, model, quad, support)
     return DampingResult(value, error, method, diag, support, ok)
 
 
-def _beliaev_energy_path(params, model, k, w_k, quad, support):
+def _beliaev_energy_path(params, model, quad, support):
     """(value, error, ok) of gamma_beliaev_quadrature on the first branch."""
-    branch = support.branches[0]
+    k, w_k, branch = support.k, support.omega_k, support.branches[0]
     pO = energy_point(params, model, branch, w_k)
     beta = params.beta
 
@@ -413,11 +416,11 @@ def _beliaev_energy_path(params, model, k, w_k, quad, support):
     return C * val, C * err, ok
 
 
-def _landau_energy_path(params, model, k, w_k, quad, support):
+def _landau_energy_path(params, model, quad, support):
     """(value, error, ok) of gamma_landau_quadrature on the first branch."""
+    k, w_k, branch = support.k, support.omega_k, support.branches[0]
     beta = params.beta
     theta = beta * w_k
-    branch = support.branches[0]
     pk = energy_point(params, model, branch, w_k)
 
     def gt(t):
@@ -442,24 +445,24 @@ _ENERGY_PATHS = {"beliaev": _beliaev_energy_path,
                  "landau": _landau_energy_path}
 
 
-def _generic_scan(params, model, k, w_k, process, quad, support):
+def _generic_scan(params, model, quad, support):
     """(value, error, ok) of the momentum scan on a non-empty support.
 
     Roots are resolved on support.branches, the table detect_support
     counted them on and the energy paths evaluate on.  Each node
     evaluates the profile once at p, for omega(p) and the coefficients at
     p, and once (vhat and dvhat) at each root q, for |omega'(q)| and the
-    coefficients at q; omega(k) comes from the caller and the
+    coefficients at q; omega(k) comes from the support and the
     coefficients at k are taken once per rate.  They feed vertices._j in
     the order vertex_j gives them, so the integrand is vertex_j's to the
     bit.
     """
-    branches = support.branches
+    k, w_k, branches = support.k, support.omega_k, support.branches
     beta = params.beta
     theta = beta * w_k
     nu, v0 = params.nu, model.vhat0
     rt = math.sqrt(nu)
-    beliaev = process == "beliaev"
+    beliaev = support.process == "beliaev"
     ck = _coeffs(params, model, k)
 
     def inner(p):
@@ -853,7 +856,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     absorption radius density without a finite total) raises
     ParameterError naming beta before any draw, and so does a decay ball
     without a finite volume, naming k.  An estimate or a standard error
-    that leaves the float range raises IntegrandError.
+    that leaves the float range raises IntegrandError; the block
+    evaluator runs with numpy's float warnings off, so such a value
+    reaches the sums.  That one evaluator serves both processes, which
+    differ only in their setup: the radius draw and its cell, the draw's
+    measure, the leg order (k; r, q) or (q; r, k), the thermal weight
+    and the prefactor.
 
     Only draws that can reach the mollified shell |z| < 39 are evaluated,
     a squeeze (Marsaglia 1977): bounds of omega on 4096 cells of r (the
@@ -901,7 +909,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     work = np.empty((3, nb))
     iwork = np.empty((2, nb), dtype=np.intp)
     keep = np.empty(nb, dtype=bool)
-    if process == "beliaev":
+    absorb = process == "landau"
+    if not absorb:
         energy = w_k + 5.0 * eps
         branches = branch_table(params, model, energy)
         R = invert_dispersion(branches[0], energy)
@@ -911,37 +920,21 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                 f"decay ball of radius {R:g} has no finite volume")
         vol = 4.0 * math.pi / 3.0 * R ** 3
         pref = 1.0 / (16.0 * math.pi ** 2)
+        thermal = _mc_thermal_beliaev
+        legs = itemgetter(0, 1, 2)  # (k; r, q)
         h = max(R / _SHELL_CELLS, _MIN_NORMAL)
         inv_h = 1.0 / h
         x = np.arange(_SHELL_CELLS + 1) * h
-        shell = _shell(params, model, branches, x,
-                       _omega_scalar(params, model, x), R + k, w_k,
-                       39.0 * eps, False)
+        w_x = _omega_scalar(params, model, x)
 
-        def values(u0, u1, g):
-            n = len(u0)
-            ir, iq = iwork[:, :n]
-            r = np.cbrt(u0, out=u0)
+        def draw(u, ir):
+            r = np.cbrt(u, out=u)
             r *= R
             np.multiply(r, inv_h, out=ir, casting="unsafe")
-            cth = u1
-            cth *= 2.0
-            cth -= 1.0
-            q2 = _third_leg(r, cth, k, False, work[0, :n], work[1, :n])
-            c = _shell_draws(shell, ir, q2, iq, work[1, :n], u1, keep[:n])
-            if not c.size:
-                return
-            r = r[c]
-            q = np.sqrt(np.maximum(q2[c], 0.0))
-            wr = omega_bg(params, model, r)
-            wq = omega_bg(params, model, q)
-            z = (w_k - wr - wq) / eps
-            sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
-            if sel.size:
-                jv = _j_arrays(params, model, k, r[sel], q[sel])
-                delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
-                T = _mc_thermal_beliaev(beta, w_k, wr[sel], wq[sel])
-                g[c[sel]] = vol * jv * jv * delta * T
+            return r
+
+        def measure(c, r):
+            return vol
     else:
         t_cap = _landau_t_max(beta, w_k) + 10.0
         u_cap = t_cap / beta
@@ -949,10 +942,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         b = branches[0]
         R = invert_dispersion(b, min(u_cap, b.omega_max))
         pref = 1.0 / (8.0 * math.pi ** 2)
-        nodes = np.linspace(0.0, R, 4097)
-        dx = nodes[1] - nodes[0]
-        w_nodes = omega_bg(params, model, nodes)
-        wts = nodes ** 2 * np.exp(-0.5 * beta * np.minimum(w_nodes, 1400.0 / beta))
+        thermal = _mc_thermal_landau
+        legs = itemgetter(2, 1, 0)  # (q; r, k)
+        x = np.linspace(0.0, R, 4097)
+        dx = x[1] - x[0]
+        w_x = omega_bg(params, model, x)
+        wts = x ** 2 * np.exp(-0.5 * beta * np.minimum(w_x, 1400.0 / beta))
         with np.errstate(over="ignore"):
             cum = np.concatenate(([0.0],
                                   np.cumsum(0.5 * (wts[1:] + wts[:-1]) * dx)))
@@ -961,62 +956,72 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                                  f"{R:g}] has no finite total")
         cum /= cum[-1]
         cdf = _cdf_table(cum, _GUIDE_BINS)
-        # a radius's cell is its CDF interval
-        shell = _shell(params, model, branches, nodes, w_nodes, R + k, w_k,
-                       39.0 * eps, True)
+        span = work[0]
 
-        def values(u0, u1, g):
-            n = len(u0)
-            idx, iq = iwork[:, :n]
-            # cum[-1] == 1 > u0, so idx <= len(nodes) - 2 and span > 0
-            _cdf_index(cdf, u0, idx, iq, work[0, :n], keep[:n])
-            span = np.take(cdf.span, idx, out=work[0, :n], mode="clip")
-            r = np.take(cum, idx, out=work[1, :n], mode="clip")
-            np.subtract(u0, r, out=r)
-            r /= span
+        def draw(u, ir):
+            # a radius's cell is its CDF interval, whose mass span keeps;
+            # cum[-1] == 1 > u, so ir <= len(x) - 2 and span > 0
+            n = len(u)
+            t = work[1, :n]
+            _cdf_index(cdf, u, ir, iwork[1, :n], t, keep[:n])
+            np.take(cdf.span, ir, out=span[:n], mode="clip")
+            r = np.subtract(u, np.take(cum, ir, out=t, mode="clip"), out=u)
+            r /= span[:n]
             r *= dx
-            r += np.take(nodes, idx, out=work[2, :n], mode="clip")
-            cth = u1
-            cth *= 2.0
-            cth -= 1.0
-            q2 = _third_leg(r, cth, k, True, work[2, :n], u0)
-            c = _shell_draws(shell, idx, q2, iq, u0, u1, keep[:n])
-            if not c.size:
-                return
-            r = r[c]
-            q = np.sqrt(np.maximum(q2[c], 0.0))
-            wr = omega_bg(params, model, r)
-            wq = omega_bg(params, model, q)
-            z = (wq - wr - w_k) / eps
-            sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
-            if sel.size:
-                c = c[sel]
-                jv = _j_arrays(params, model, q[sel], r[sel], k)
-                delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
-                T = _mc_thermal_landau(beta, w_k, wr[sel], wq[sel])
-                g[c] = (4.0 * math.pi * r[sel] ** 2 / (span[c] / dx)
-                        * jv * jv * delta * T)
+            r += np.take(x, ir, out=t, mode="clip")
+            return r
+
+        def measure(c, r):
+            return 4.0 * math.pi * r ** 2 / (span[c] / dx)
+    shell = _shell(params, model, branches, x, w_x, R + k, w_k, 39.0 * eps,
+                   absorb)
+
+    def values(u0, u1, g):
+        """Weigh one block's draws into g; a draw off the shell adds 0."""
+        n = len(u0)
+        ir, iq = iwork[:, :n]
+        r = draw(u0, ir)
+        cth = u1
+        cth *= 2.0
+        cth -= 1.0
+        q2 = _third_leg(r, cth, k, absorb, work[1, :n], work[2, :n])
+        c = _shell_draws(shell, ir, q2, iq, work[2, :n], u1, keep[:n])
+        if not c.size:
+            return
+        r = r[c]
+        q = np.sqrt(np.maximum(q2[c], 0.0))
+        wr = omega_bg(params, model, r)
+        wq = omega_bg(params, model, q)
+        w0, w1, w2 = legs((w_k, wr, wq))
+        z = (w0 - w1 - w2) / eps
+        sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
+        if sel.size:
+            c, r, q = c[sel], r[sel], q[sel]
+            jv = _j_arrays(params, model, *legs((k, r, q)))
+            delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
+            T = thermal(beta, w_k, wr[sel], wq[sel])
+            g[c] = measure(c, r) * jv * jv * delta * T
 
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk = 0
     g_buf = np.empty(min(_MC_CHUNK, n_samples))
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
-        g = g_buf[:m]
-        g.fill(0.0)
-        for s, u0, u1 in _chunk_blocks(key, m):
-            values(u0, u1, g[s:s + len(u0)])
-        # free this chunk's draw buffers before the next chunk allocates its own
-        del u0, u1
-        # an overflow here leaves a non-finite sum, which raises below
-        with np.errstate(over="ignore"):
+    # a value out of the float range leaves a non-finite sum: raised below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while done < n_samples:
+            m = min(_MC_CHUNK, n_samples - done)
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
+            g = g_buf[:m]
+            g.fill(0.0)
+            for s, u0, u1 in _chunk_blocks(key, m):
+                values(u0, u1, g[s:s + len(u0)])
+            # free the draw buffers before the next chunk allocates its own
+            del u0, u1
             total += float(np.sum(g))
             total_sq += float(np.sum(np.square(g, out=g)))
-        done += m
-        chunk += 1
+            done += m
+            chunk += 1
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     est = pref * mean

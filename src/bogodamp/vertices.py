@@ -2,7 +2,8 @@
 
 The momentum space vertices j and kappa carry the 1/sqrt(k) coefficient
 singularities of the small momentum limit.  They read the Bogoliubov
-coefficients from bogoliubov._coeffs, one vhat call per momentum.
+coefficients from bogoliubov._coeffs, one vhat call per momentum, once
+_leg_coeffs has checked every momentum positive.
 
 In the energy variables the 1/sqrt(k) factors cancel: regularized_F(omega;
 u, w) is the combination sqrt(8 omega u w) sqrt(nu / vhat0) * j evaluated
@@ -18,9 +19,10 @@ is minus _j with s and c swapped and c - s negated at k; floating point
 sums and products commute and negation is exact, so that is the
 written-out kappa sum to the bit.
 
-The effective potentials V and U act on momentum vectors; their pair
-symmetrisation reproduces j and their six term alternating sum reproduces
-kappa, which the test suite checks on random configurations.
+The effective potentials V and U act on momentum vectors, through
+_leg_coeffs at |p|, |q| and |p + q|; their pair symmetrisation
+reproduces j and their six term alternating sum reproduces kappa, which
+the test suite checks on random configurations.
 """
 from __future__ import annotations
 
@@ -43,6 +45,21 @@ def _positive(name, val):
             f"{name} must be a positive momentum, got {val}; zero momentum "
             "legs are handled by regularized_F")
     return val
+
+
+def _leg_coeffs(params, model, legs, names=("k", "p", "q")):
+    """The _coeffs tuples at the momenta legs, each checked positive under
+    its name before the first profile call."""
+    xs = [_positive(name, x) for name, x in zip(names, legs)]
+    return [_coeffs(params, model, x) for x in xs]
+
+
+def _pair_coeffs(params, model, p_vec, q_vec):
+    """_leg_coeffs at |p|, |q| and |p + q| of two momentum vectors."""
+    p_vec = np.asarray(p_vec, dtype=float)
+    q_vec = np.asarray(q_vec, dtype=float)
+    norms = map(np.linalg.norm, (p_vec, q_vec, p_vec + q_vec))
+    return _leg_coeffs(params, model, norms, ("|p|", "|q|", "|p+q|"))
 
 
 def _vertex(K, P, Q):
@@ -69,11 +86,7 @@ def vertex_j(params: GasParameters, model: PotentialModel,
     Symmetric in (p, q).  Scales like sqrt(nu vhat0); each leg carries a
     1/sqrt momentum factor, so all three momenta must be positive.
     """
-    k = _positive("k", k)
-    p = _positive("p", p)
-    q = _positive("q", q)
-    return _j(params, _coeffs(params, model, k), _coeffs(params, model, p),
-              _coeffs(params, model, q))
+    return _j(params, *_leg_coeffs(params, model, (k, p, q)))
 
 
 def vertex_kappa(params: GasParameters, model: PotentialModel,
@@ -83,12 +96,8 @@ def vertex_kappa(params: GasParameters, model: PotentialModel,
     Minus j with the tuple at k read as (c, s, -(c - s), vhat(k)/vhat0):
     the three terms of kappa are those of _vertex with s and c swapped at k.
     """
-    k = _positive("k", k)
-    p = _positive("p", p)
-    q = _positive("q", q)
-    s, c, d, n = _coeffs(params, model, k)
-    return -_j(params, (c, s, -d, n), _coeffs(params, model, p),
-               _coeffs(params, model, q))
+    (s, c, d, n), P, Q = _leg_coeffs(params, model, (k, p, q))
+    return -_j(params, (c, s, -d, n), P, Q)
 
 
 def eff_V(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
@@ -97,14 +106,8 @@ def eff_V(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
     Depends on |p|, |q| and |p + q|; V(p, q) + V(q, p) equals
     j(|p + q|; |p|, |q|).
     """
-    p_vec = np.asarray(p_vec, dtype=float)
-    q_vec = np.asarray(q_vec, dtype=float)
-    p = _positive("|p|", float(np.linalg.norm(p_vec)))
-    q = _positive("|q|", float(np.linalg.norm(q_vec)))
-    r = _positive("|p+q|", float(np.linalg.norm(p_vec + q_vec)))
-    sp, cp, dp, shp = _coeffs(params, model, p)
-    sq, cq, _, _ = _coeffs(params, model, q)
-    sr, cr, dr, shr = _coeffs(params, model, r)
+    (sp, cp, dp, shp), (sq, cq, _, _), (sr, cr, dr, shr) = _pair_coeffs(
+        params, model, p_vec, q_vec)
     pref = math.sqrt(params.nu * params.vhat0)
     return pref * (shp * dp * (cq * cr + sq * sr) - shr * dr * sp * cq)
 
@@ -115,14 +118,8 @@ def eff_U(params: GasParameters, model: PotentialModel, p_vec, q_vec) -> float:
     The six term alternating sum of U over the momentum splittings of a
     triangle reproduces kappa.
     """
-    p_vec = np.asarray(p_vec, dtype=float)
-    q_vec = np.asarray(q_vec, dtype=float)
-    p = _positive("|p|", float(np.linalg.norm(p_vec)))
-    q = _positive("|q|", float(np.linalg.norm(q_vec)))
-    r = _positive("|p+q|", float(np.linalg.norm(p_vec + q_vec)))
-    sp, cp, _, shp = _coeffs(params, model, p)
-    sq, cq, _, _ = _coeffs(params, model, q)
-    sr, cr, _, _ = _coeffs(params, model, r)
+    (sp, cp, _, shp), (sq, cq, _, _), (sr, cr, _, _) = _pair_coeffs(
+        params, model, p_vec, q_vec)
     pref = math.sqrt(params.nu * params.vhat0)
     return pref * shp * (cr * sp * sq - sr * cp * cq)
 
@@ -142,13 +139,10 @@ def regularized_F(params: GasParameters, model: PotentialModel,
     energy at a stationary top of the branch raises SingularMeasureError
     from energy_point, which also evaluates the measure factor there.
     """
-    vals = {}
+    omega, u, w = float(omega), float(u), float(w)
     for name, val in (("omega", omega), ("u", u), ("w", w)):
-        val = float(val)
         if not math.isfinite(val) or val < 0:
             raise DomainError(f"{name} must be finite and >= 0, got {val}")
-        vals[name] = val
-    omega, u, w = vals["omega"], vals["u"], vals["w"]
     need = max(omega, u, w)
     branch = first_branch(params, model, need)
     if need > branch.omega_max * (1.0 + 1e-12):

@@ -310,6 +310,22 @@ def test_oracle_non_finite_stderr_is_an_error_row(capsys):
     assert "nan" not in captured.out
 
 
+def test_oracle_overflowing_absorption_is_an_error_row(capsys):
+    # the block evaluation warned (overflow, divide, invalid) before the
+    # non-finite sums raised; the suite turns warnings into errors, so
+    # this ended in a RuntimeWarning traceback
+    rc = main(["oracle", "--raw", "--k", "1e150", "--beta-nu", "1e-250",
+               "--process", "landau", "--samples", "10000",
+               "--skip-validation"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert rows == [["landau"] + ["error"] * 5]
+    assert captured.err.startswith(
+        "error in oracle (landau): Monte Carlo landau estimate nan +- nan "
+        "is not finite")
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep setup\nbeta-nu = 10\nk = 0.3\nv = 0.1\n")

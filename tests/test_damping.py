@@ -364,9 +364,9 @@ def test_generic_scan_rate_bits_are_pinned():
 
 
 @pytest.mark.parametrize("rate, floats", [
-    (gamma_beliaev_quadrature, 1271),
-    (gamma_landau_quadrature, 22539),
-])
+    (gamma_beliaev_quadrature, 1270),
+    (gamma_landau_quadrature, 22538),
+], ids=["beliaev", "landau"])
 def test_generic_scan_profile_call_budget(rate, floats):
     """Float vhat calls of a whole scan rate on the maxon table, k = 0.2.
 
@@ -378,11 +378,71 @@ def test_generic_scan_profile_call_budget(rate, floats):
     one that took omega(k) again after the rate entry had made 1273 and
     22543.  One that requested a branch table of its own, and took the
     absorption's tail slope through omega_bg_prime, made 1272 and 22542.
+    One whose rate entry took omega(k) apart from the support made 1271
+    and 22539.
     """
     m = CountingVhat(maxon_roton_table())
     res = rate(make_params(1, 4, m.vhat0), m, 0.2)
     assert res.method == "generic_scan"
     assert m.calls == {"float": floats, "array": 17}
+
+
+class _VhatAtK(CountingVhat):
+    """Counts the float vhat calls whose argument is exactly k."""
+
+    def __init__(self, inner, k):
+        super().__init__(inner)
+        self.k = k
+        self.at_k = 0
+
+    def vhat(self, x):
+        if not np.ndim(x) and x == self.k:
+            self.at_k += 1
+        return super().vhat(x)
+
+
+@pytest.mark.parametrize("make_model, rate, at_k", [
+    (lambda: GaussianPotential(v=0.1, nu=1.0), gamma_landau_quadrature, 1),
+    (maxon_roton_table, gamma_beliaev_quadrature, 2),
+    (maxon_roton_table, gamma_landau_quadrature, 2),
+    (maxon_roton_table,
+     lambda params, model, k: reduce_delta_generic(params, model, k, "landau"),
+     2),
+], ids=["landau_energy_path", "beliaev_scan", "landau_scan",
+        "reduce_delta_generic"])
+def test_rate_takes_omega_k_once(make_model, rate, at_k):
+    """At beta nu = 4, k = 0.2 the energy path evaluates the profile at k
+    only for omega(k) in detect_support, and the scan once more, for the
+    coefficients at k.  A rate entry that took omega(k) apart from its
+    support made 2 and 3 such calls."""
+    m = _VhatAtK(make_model(), 0.2)
+    params = make_params(1, 4, m.vhat0)
+    res = rate(params, m, 0.2)
+    assert res.support.segments
+    assert m.at_k == at_k
+    assert res.support.omega_k == omega_bg(params, m.inner, 0.2)
+
+
+def test_support_carries_omega_k():
+    model = maxon_roton_table()
+    params = make_params(1, 4, model.vhat0)
+    for process in ("beliaev", "landau"):
+        for k in (0.05, 0.2, 1.3):
+            sup = detect_support(params, model, k, process)
+            assert sup.omega_k == omega_bg(params, model, k)
+            assert dataclasses.replace(sup, omega_k=0.0) == sup
+
+
+def test_support_rejects_a_non_finite_omega_k():
+    """omega(k) overflows at k = 1e200; the rates raised the diagnostics'
+    DomainError before detect_support took omega(k), and still do."""
+    params, model = gaussian_setup(beta_nu=10.0)
+    for process in ("beliaev", "landau"):
+        with pytest.raises(DomainError, match="omega_k must be finite"):
+            detect_support(params, model, 1e200, process)
+    for rate in (gamma_beliaev_quadrature, gamma_landau_quadrature):
+        with pytest.raises(DomainError, match="omega_k must be finite"):
+            rate(params, model, 1e200)
 
 
 def test_generic_fallback_detects_support_once(monkeypatch):

@@ -124,6 +124,26 @@ def test_non_finite_estimate_raises(beta_nu, k):
                   n_samples=10 ** 4)
 
 
+def test_overflowing_block_raises_without_a_warning():
+    """At beta = 1e-250, k = 1e150 the absorption's vertex and weights
+    overflow inside the block; that warned before the sums raised, and
+    the suite turns any warning into an error."""
+    model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(1.0, 1e-250, model.vhat0)
+    with pytest.raises(IntegrandError, match="is not finite"):
+        mc_oracle(params, model, 1e150, "landau", n_samples=MC_MIN_SAMPLES)
+
+
+def test_large_k_decay_evaluates_without_a_warning():
+    """At beta = 1, k = 1e100 the coefficient kernel overflowed with a
+    warning; the block now runs without one."""
+    model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(1.0, 1.0, model.vhat0)
+    est, err = mc_oracle(params, model, 1e100, "beliaev",
+                         n_samples=MC_MIN_SAMPLES)
+    assert math.isfinite(est) and math.isfinite(err)
+
+
 def test_mollifier_width_override():
     # a wider smearing window changes the estimate smoothly, not wildly
     params, model = gaussian_setup(beta_nu=10.0)
@@ -157,6 +177,16 @@ PINNED = [
      (1.1242482204806392e-07, 7.948103388954767e-09)),
     ("gaussian", 0.2, "landau", 0.00040159721088022177, 150_000, 42,
      (3.3553414522434414e-06, 1.3261320516848804e-07)),
+    # the maxon rows were drawn before the two processes shared one block
+    # evaluator; at k = 1 almost no decay draw reaches the shell
+    ("maxon", 0.4, "beliaev", None, 200_000, 13,
+     (4.9995918673801214e-05, 3.722451014236922e-06)),
+    ("maxon", 0.4, "landau", None, 200_000, 13,
+     (0.0001857820696732471, 2.828401076726605e-05)),
+    ("maxon", 1.0, "beliaev", None, 200_000, 13,
+     (1.1641693969180884e-26, 1.1606638501294275e-26)),
+    ("maxon", 1.0, "landau", None, 200_000, 13,
+     (8.286756778750232e-05, 1.679719969647528e-05)),
 ]
 
 
@@ -165,7 +195,8 @@ def _setup(name):
         return gaussian_setup(beta_nu=10.0)
     if name == "flat":
         return make_params(1.0, 10.0, FLAT.v0), FLAT
-    return make_params(1.0, 4.0, DIP.vhat0), DIP
+    model = {"dip": DIP, "maxon": MAXON}[name]
+    return make_params(1.0, 4.0, model.vhat0), model
 
 
 @pytest.mark.parametrize("name,k,process,eps,n,seed,want", PINNED)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bogodamp.bogoliubov import bogo_coeffs, first_branch, omega_bg
-from bogodamp.errors import RangeError, SingularityError
+from bogodamp.errors import DomainError, RangeError, SingularityError
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
                                 PotentialModel)
 from bogodamp.vertices import (G_of, _j_arrays, eff_U, eff_V, regularized_F,
                                vertex_j, vertex_kappa)
-from conftest import gaussian_setup, maxon_roton_table
+from conftest import CountingVhat, gaussian_setup, maxon_roton_table
 
 
 def flat_setup(nu=1.0):
@@ -179,12 +179,121 @@ def test_kappa_bits_are_pinned(name):
         assert repr(vertex_kappa(params, model, k, p, q)) == repr(want)
 
 
+# vertex_j(k; p, q) on the KAPPA_PINS triples, and (eff_V, eff_U) on the
+# twelve random_vectors pairs of default_rng(20261019), as computed before
+# the vertex forms shared their leg setup
+J_PINS = {
+    "gaussian": (
+        0.32972784633708385, 0.33004137527856237, 0.3485440785568722,
+        0.29610745212963274, 0.3949962162051986, 0.3395490652449086,
+        0.4268010725248573, 0.14163369813353044, 0.32882077192260856,
+        0.32108251643661706, 0.2172691608555632, 0.21992353126266886,
+    ),
+    "flat": (
+        1.4899593685833084, 1.576846196716382, 1.3059708656675513,
+        1.056052905353461, 1.451729373219027, 1.5889383746391852,
+        1.4345846860538964, 0.6439512207251894, 1.7234676057920795,
+        1.524747761953717, 0.6978445739784156, 0.7304441425984491,
+    ),
+    "maxon": (
+        0.8913650404520512, 0.5660708467434834, 0.7985424003214109,
+        0.1490517990920771, -0.40174642134624733, 0.4709666454428433,
+        0.7821997631824011, 0.10513446425881877, 0.5537272526394623,
+        0.5317611742301218, 0.5144464028856708, 0.3529049742777542,
+    ),
+}
+VU_PINS = {
+    "gaussian": (
+        (0.18450024753828234, -0.04128711566211331),
+        (0.1646154979932018, -0.017044048531940862),
+        (0.14555060308852585, -0.05168868124522145),
+        (0.19440171740153303, -0.001307426813097027),
+        (0.1801224112226966, -0.002952970785150814),
+        (0.19956593386444269, -0.00024141812652371826),
+        (0.10070471999316674, -0.0025259689720084503),
+        (0.1337634471078606, -0.000541326557478103),
+        (0.17497848011166603, -0.014852511737770167),
+        (0.20504795386935099, -0.004214620095858763),
+        (0.17969051598311686, -0.005669954328515095),
+        (0.11202136248586447, -0.0011093462949321265),
+    ),
+    "flat": (
+        (0.8825820541797629, -0.21817813666626268),
+        (0.897512939386529, -0.11873261813728414),
+        (0.466896888294139, -0.18760650504165632),
+        (0.8037391132460383, -0.02715754577606344),
+        (0.8374234948008782, -0.03886835014168629),
+        (0.7902781792730804, -0.019244486916549976),
+        (0.9261495007819402, -0.05143336952482342),
+        (0.9003921026115671, -0.02328989583477941),
+        (0.8541979752243972, -0.10099978096800119),
+        (0.6824143008018854, -0.039515277140551495),
+        (0.8400620103512251, -0.05376172904113112),
+        (0.9156034145902471, -0.03315053594535874),
+    ),
+    "maxon": (
+        (0.4730505728199935, -0.06970098187813738),
+        (0.7044645973200365, -0.022394411601668954),
+        (0.4476586727660854, -0.08785789269861073),
+        (0.20696750304394818, -0.005024898816933737),
+        (0.5089553048653628, -0.01650869391845257),
+        (0.09842736714569914, -0.0015500880719123413),
+        (0.6077734264581672, -0.024669524196442884),
+        (0.6711348194195585, -0.008793852952813173),
+        (0.553573110180017, -0.014205702157515068),
+        (-0.6106699632305633, 0.01517207916185929),
+        (0.48522567447495923, -0.024882052966302328),
+        (0.6315841650273417, -0.01367284698247645),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(J_PINS))
+def test_j_bits_are_pinned(name):
+    params, model = _pin_setup(name)
+    for (k, p, q, _kappa), want in zip(KAPPA_PINS[name], J_PINS[name]):
+        assert repr(vertex_j(params, model, k, p, q)) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(VU_PINS))
+def test_effective_potential_bits_are_pinned(name):
+    params, model = _pin_setup(name)
+    pairs = random_vectors(np.random.default_rng(20261019), 12)
+    for (p, q), (want_v, want_u) in zip(pairs, VU_PINS[name]):
+        assert repr(eff_V(params, model, p, q)) == repr(want_v)
+        assert repr(eff_U(params, model, p, q)) == repr(want_u)
+
+
+@pytest.mark.parametrize("energies, name", [
+    ((-1.0, 0.5, 0.5), "omega"),
+    ((1.0, float("nan"), 0.5), "u"),
+    ((1.0, 0.5, float("inf")), "w"),
+    ((-1.0, -0.5, 0.5), "omega"),
+])
+def test_regularized_F_rejects_bad_energies(energies, name):
+    params, model = gaussian_setup(beta_nu=10.0)
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        regularized_F(params, model, *energies)
+
+
 def test_vertices_reject_zero_momentum():
     params, model = gaussian_setup(beta_nu=10.0)
     with pytest.raises(SingularityError):
         vertex_j(params, model, 0.0, 1.0, 1.0)
     with pytest.raises(SingularityError):
         vertex_kappa(params, model, 1.0, -0.5, 1.0)
+
+
+def test_legs_are_checked_before_any_profile_call():
+    model = CountingVhat(GaussianPotential(v=0.1, nu=1.0))
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    for fn in (vertex_j, vertex_kappa):
+        with pytest.raises(SingularityError, match="^q must"):
+            fn(params, model, 1.0, 0.5, 0.0)
+    for fn in (eff_V, eff_U):
+        with pytest.raises(SingularityError, match=r"^\|p\+q\| must"):
+            fn(params, model, [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+    assert model.calls == {"float": 0, "array": 0}
 
 
 def test_v_plus_swapped_is_j():
