@@ -7,8 +7,9 @@ to raw momentum and inverse temperature.  A `--config` file holds
 by argparse like the flags, which override them.  Output is CSV or JSON
 with a fixed column set, deterministic for a fixed configuration
 including seeds.  Every rate of `rate`, `sweep` and `oracle` comes from
-one dispatch, `_rate`; a quadrature rate that did not converge, or whose
-error bar is not below its value, is an `error` cell, never a number.
+one dispatch, `_rate`; a quadrature rate that did not converge, or a
+quadrature or Monte Carlo rate whose error bar is too large for its value
+on a non-empty support, is an `error` cell, never a number.
 Exit codes: 0 success, 1 usage or config error, 2 assumption validation
 failure, 3 numerical failure at one or more points.
 """
@@ -22,9 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .damping import (gamma_beliaev_asymptotic, gamma_beliaev_quadrature,
-                      gamma_landau_asymptotic, gamma_landau_quadrature,
-                      MC_MIN_SAMPLES, mc_oracle, select_regime)
+from .damping import (detect_support, gamma_beliaev_asymptotic,
+                      gamma_beliaev_quadrature, gamma_landau_asymptotic,
+                      gamma_landau_quadrature, MC_MIN_SAMPLES, mc_oracle,
+                      select_regime)
 from .bogoliubov import _omega_scalar
 from .errors import (AssumptionError, BogodampError, DomainError,
                      ParameterError)
@@ -230,7 +232,13 @@ def _rate(method, params, model, k, process, quad, mc):
     that wrapping them here (as perfbench does) sees every call.  A
     quadrature rate that did not converge, or whose error bar is not
     below its value on a non-empty support, raises instead of returning
-    a number.
+    a number.  So does a Monte Carlo estimate on a non-empty support
+    resting on fewer than about two weighed draws: with non-negative
+    draws stderr / estimate is sqrt(1/n_eff - 1/n), n_eff the effective
+    number of weighed draws (Kish), so a single draw passes stderr <
+    estimate; stderr must be below estimate / sqrt(2).  On an empty
+    support the rate is a true zero, and the estimate, zero or a few
+    draws in the mollified shell's tails, is returned as it is.
     """
     if method == "quadrature":
         fn = (gamma_beliaev_quadrature if process == "beliaev"
@@ -244,6 +252,11 @@ def _rate(method, params, model, k, process, quad, mc):
         return r.value, r.abs_error, r.method
     if method == "mc":
         est, err = mc_oracle(params, model, k, process, *mc)
+        if (not err < abs(est) * math.sqrt(0.5)
+                and detect_support(params, model, k, process).segments):
+            raise BogodampError(
+                f"{process} rate by monte_carlo is not usable: {est!r} "
+                f"+- {err!r} rests on fewer than two weighed draws")
         return est, err, "monte_carlo"
     regime = ("full" if method == "asymptotic"
               else select_regime(params, model, k, process))

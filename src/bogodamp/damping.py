@@ -665,6 +665,9 @@ _GUIDE_BINS = 1 << 16
 # inverse width is finite.
 _SHELL_CELLS = 4096
 _MIN_NORMAL = 2.0 ** -1022
+# Cells of u0, the radius draw, in the draw-space window; a power of two,
+# so int(u0 * cells) is exact.
+_WINDOW_CELLS = 4096
 # Smallest theta = beta omega(k) mc_oracle accepts.  Its thermal weights
 # square a numerator of about theta and divide by three factors
 # 1 - exp(-beta w) of about beta w each, at most theta apiece on a decay;
@@ -802,6 +805,68 @@ def _shell_draws(shell, ir, q2, iq, a, b, m):
     return c[rt2.take(ir, mode="clip") + qt2.take(iq, mode="clip") <= lim2]
 
 
+def _window(shell, r, ir, k, absorb):
+    """(mid, half2): per cell a of u0, a u1 interval [mid - half, mid +
+    half] outside which every draw fails a check of `shell`, with half2 =
+    half^2, or -1 for a cell no draw of which passes; r and ir are the
+    radius and r cell of each of the _WINDOW_CELLS + 1 cell edges of u0.
+
+    Over the r cells a u0 cell reaches, widened by one, each check's least
+    r term bounds the q^2 cells that can pass it.  The hull of the cells
+    that can pass both comes from prefix and suffix minima; widened by one
+    cell, it maps to cos theta by interval arithmetic on q^2 = r^2 + k^2
+    -+ 2 r k cos theta, then to u1 = (cos theta + 1) / 2, widened by 1e-9.
+    The q^2 interval is open above where the entry past the q^2 table can
+    pass and the cell's largest q^2, (r + k)^2, reaches it.  A cell whose
+    radius reaches 0, or whose interval is not a number, gets every u1.
+    Run under np.errstate: extreme inputs overflow here harmlessly.
+    """
+    rt, qt, _ = shell.checks[0]
+    m = len(qt) - 1  # q^2 cells; entry m is the one past the table
+    ends = np.ravel([np.maximum(ir[:-1] - 1, 0),
+                     np.minimum(ir[1:] + 2, len(rt))], order="F")
+    j_lo, j_hi, clip = 0, m - 1, True
+    for rt, qt, lim in shell.checks:
+        # the least r term over the r cells [ir[a] - 1, ir[a + 1] + 1]
+        q_lim = lim - np.fmin.reduceat(np.append(rt, np.inf), ends)[::2]
+        pre = np.minimum.accumulate(qt[:m])
+        suf = np.minimum.accumulate(qt[:m][::-1])[::-1]
+        j_lo = np.maximum(j_lo, np.searchsorted(-pre, -q_lim))
+        j_hi = np.minimum(j_hi, np.searchsorted(suf, q_lim, "right") - 1)
+        clip = clip & (qt[m] <= q_lim)
+    r0, r1 = r[:-1], r[1:]
+    is_open = clip & ((r1 + k) ** 2 * shell.inv_h2 >= m - 1)
+    j_lo = np.where(j_lo > j_hi, m, j_lo)
+    q_lo = np.maximum(j_lo - 1, 0) / shell.inv_h2
+    q_hi = np.where(is_open, np.inf, (j_hi + 2) / shell.inv_h2)
+    kk = k * k
+    if absorb:
+        n_lo, n_hi = q_lo - r1 * r1 - kk, q_hi - r0 * r0 - kk
+    else:
+        n_lo, n_hi = r0 * r0 + kk - q_hi, r1 * r1 + kk - q_lo
+    d_lo, d_hi = 2.0 * k * r0, 2.0 * k * r1
+    lo = 0.5 * (n_lo / np.where(n_lo < 0, d_lo, d_hi) + 1.0) - 1e-9
+    hi = 0.5 * (n_hi / np.where(n_hi < 0, d_hi, d_lo) + 1.0) + 1e-9
+    every = ~(d_lo >= _MIN_NORMAL) | np.isnan(lo) | np.isnan(hi)
+    # u1 lies in [0, 1): bounds beyond [-1, 2] cut nothing more
+    lo = np.where(every, -1.0, np.maximum(lo, -1.0))
+    hi = np.where(every, 2.0, np.minimum(hi, 2.0))
+    half = np.where((j_lo == m) & ~is_open, -1.0, 0.5 * (hi - lo))
+    return 0.5 * (lo + hi), np.where(half < 0.0, -1.0, half * half)
+
+
+def _window_draws(window, u0, u1, ia, f, g, keep):
+    """Indices of the draws whose u1 lies in the window of their u0 cell;
+    ia (intp), f, g (float) and keep (bool) are work rows of their
+    length."""
+    mid, half2 = window
+    np.multiply(u0, _WINDOW_CELLS, out=ia, casting="unsafe")
+    np.subtract(np.take(mid, ia, out=f, mode="clip"), u1, out=f)
+    np.multiply(f, f, out=f)
+    return np.flatnonzero(np.less_equal(
+        f, np.take(half2, ia, out=g, mode="clip"), out=keep))
+
+
 def _third_leg(r, cth, k, absorb, q2, s):
     """r^2 + k^2 - 2 r k cth, + 2 r k cth on an absorption, written into q2
     in the operation order of that expression; s is a work row.  The
@@ -849,38 +914,52 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     reproducible for a given (seed, n_samples) regardless of scheduling.
     Each chunk is evaluated in blocks of 2^16 samples, and its draws are
     streamed per block from the counter-based stream (_chunk_blocks).  The
-    sums run over whole chunks, so the block size moves no bit.  The
-    absorption radius is drawn by an exact CDF lookup (a guide table,
-    equal to a binary search).  Heat beyond what its thermal weights
-    represent in floats (theta = beta omega(k) below _MC_MIN_THETA, or an
-    absorption radius density without a finite total) raises
-    ParameterError naming beta before any draw, and so does a decay ball
-    without a finite volume, naming k.  An estimate or a standard error
-    that leaves the float range raises IntegrandError; the block
-    evaluator runs with numpy's float warnings off, so such a value
-    reaches the sums.  That one evaluator serves both processes, which
-    differ only in their setup: the radius draw and its cell, the draw's
-    measure, the leg order (k; r, q) or (q; r, k), the thermal weight
-    and the prefactor.
+    sums run over each chunk's weighed draws, gathered in draw order, so
+    the block size moves no bit.  The absorption radius is drawn by an
+    exact CDF lookup (a guide table, equal to a binary search).  Heat
+    beyond what its thermal weights represent in floats (theta = beta
+    omega(k) below _MC_MIN_THETA, or an absorption radius density without
+    a finite total) raises ParameterError naming beta before any draw,
+    and so does a decay ball without a finite volume, naming k.  An
+    estimate or a standard error that leaves the float range raises
+    IntegrandError; the block evaluator runs with numpy's float warnings
+    off, so such a value reaches the sums.  That one evaluator serves both
+    processes, which differ only in their setup: the radius draw and its
+    cell, the draw's measure, the leg order (k; r, q) or (q; r, k), the
+    thermal weight and the prefactor.
 
     Only draws that can reach the mollified shell |z| < 39 are evaluated,
-    a squeeze (Marsaglia 1977): bounds of omega on 4096 cells of r (the
+    a squeeze (Marsaglia 1977).  Bounds of omega on 4096 cells of r (the
     CDF's intervals on an absorption) and of q^2 bound each draw's energy
-    sum, and omega, z and the vertex run on the draws whose bounds meet
-    the shell, widened for rounding (_shell).  The bounds trust the
-    branch table's monotone pieces; cells it does not cover, past a
-    tabulated profile's range among them, bound nothing, so their draws
-    are always evaluated and raise as they did without the cull.  No bit
-    moves: the value buffer is zero-filled, so a culled draw contributes
-    the 0.0 it did before, and elementwise ufuncs give the same results
-    on a subset as on the whole block.  At the Gaussian v = 0.1, k = 0.3,
-    beta nu = 10 point 1.2 % (decay) and 6.0 % (absorption) of the draws
-    are evaluated.  Momenta, cell indices and the radius lookup are
-    computed in place, in the two draw buffers and five work rows
-    allocated once per call, so memory is one chunk buffer of values
-    (8 MB) plus about 3.6 MB of rows, and 1.1 MB of CDF tables on an
-    absorption, independent of n_samples: tracemalloc peaks at 11.5 MiB
-    (decay) and 13.2 MiB (absorption).
+    sum (_shell).  They trust the branch table's monotone pieces; cells it
+    does not cover, past a tabulated profile's range among them, bound
+    nothing, so their draws are always evaluated and raise as they did
+    without the cull.  The cull runs in two stages:
+      * in draw space, before any transform: a table built once per call
+        from those bounds gives each of 4096 cells of the radius draw u0
+        an interval of the angle draw u1 outside which every draw fails
+        them (_window), so one lookup and one comparison per draw pick
+        the candidates;
+      * on the candidates, copied out of the block: the radius, the angle,
+        q^2 and the exact checks, and on the draws whose bounds meet the
+        shell, widened for rounding, omega, z and the vertex.
+    At the Gaussian v = 0.1, k = 0.3, beta nu = 10 point (1e6 samples,
+    seed 0) the window keeps 1.34 % (decay) and 8.09 % (absorption) of
+    the draws and the exact checks 1.18 % and 6.39 %.  Elementwise ufuncs
+    give the same results on a subset as on the whole block, so every
+    draw's value is the one it had without the cull; only the grouping of
+    the sums, which no longer add the culled draws' zeros, moves the last
+    bits.  Cell indices and the radius lookup work in the two draw
+    buffers and five work rows allocated once per call, so memory is
+    about 3.6 MB of rows, the chunk's weighed values (0.5 MB at 6 % of
+    1e6 draws), and 1.1 MB of CDF tables on an absorption, independent of
+    n_samples: tracemalloc peaks at 4.9 MiB (decay) and 6.1 MiB
+    (absorption).
+
+    The pair comes back as computed even where the standard error is not
+    well below the estimate: (0.0, 0.0) where no draw reaches the shell,
+    or an estimate carried by a single draw.  The CLI (cli._rate) turns
+    those into error rows where the support is not empty.
 
     The default epsilon biases the estimate at small k: the Gaussian
     v = 0.3, nu = 1 at k = 0.05, beta = 1000 (2000003 samples, seed 7)
@@ -910,6 +989,9 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     iwork = np.empty((2, nb), dtype=np.intp)
     keep = np.empty(nb, dtype=bool)
     absorb = process == "landau"
+    # the window's cell edges of u0, the last one a draw below 1
+    edges = np.minimum(np.arange(_WINDOW_CELLS + 1) / _WINDOW_CELLS,
+                       math.nextafter(1.0, 0.0))
     if not absorb:
         energy = w_k + 5.0 * eps
         branches = branch_table(params, model, energy)
@@ -935,6 +1017,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
 
         def measure(c, r):
             return vol
+        i_edges = np.empty(len(edges), dtype=np.intp)
+        r_edges = draw(edges, i_edges)
     else:
         t_cap = _landau_t_max(beta, w_k) + 10.0
         u_cap = t_cap / beta
@@ -958,12 +1042,11 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         cdf = _cdf_table(cum, _GUIDE_BINS)
         span = work[0]
 
-        def draw(u, ir):
+        def radius(u, ir):
             # a radius's cell is its CDF interval, whose mass span keeps;
             # cum[-1] == 1 > u, so ir <= len(x) - 2 and span > 0
             n = len(u)
             t = work[1, :n]
-            _cdf_index(cdf, u, ir, iwork[1, :n], t, keep[:n])
             np.take(cdf.span, ir, out=span[:n], mode="clip")
             r = np.subtract(u, np.take(cum, ir, out=t, mode="clip"), out=u)
             r /= span[:n]
@@ -971,14 +1054,30 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
             r += np.take(x, ir, out=t, mode="clip")
             return r
 
+        def draw(u, ir):
+            n = len(u)
+            _cdf_index(cdf, u, ir, iwork[1, :n], work[1, :n], keep[:n])
+            return radius(u, ir)
+
         def measure(c, r):
             return 4.0 * math.pi * r ** 2 / (span[c] / dx)
+        # the edges' CDF intervals, by the search _cdf_index equals
+        i_edges = np.searchsorted(cum, edges, side="right") - 1
+        r_edges = radius(edges, i_edges)
     shell = _shell(params, model, branches, x, w_x, R + k, w_k, 39.0 * eps,
                    absorb)
 
-    def values(u0, u1, g):
-        """Weigh one block's draws into g; a draw off the shell adds 0."""
+    nothing = np.empty(0)
+
+    def values(u0, u1):
+        """The weighed draws' values of one block, in draw order."""
         n = len(u0)
+        c = _window_draws(window, u0, u1, iwork[0, :n], work[1, :n],
+                           work[2, :n], keep[:n])
+        if not c.size:
+            return nothing
+        u0, u1 = u0[c], u1[c]
+        n = len(c)
         ir, iq = iwork[:, :n]
         r = draw(u0, ir)
         cth = u1
@@ -987,7 +1086,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         q2 = _third_leg(r, cth, k, absorb, work[1, :n], work[2, :n])
         c = _shell_draws(shell, ir, q2, iq, work[2, :n], u1, keep[:n])
         if not c.size:
-            return
+            return nothing
         r = r[c]
         q = np.sqrt(np.maximum(q2[c], 0.0))
         wr = omega_bg(params, model, r)
@@ -995,29 +1094,27 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         w0, w1, w2 = legs((w_k, wr, wq))
         z = (w0 - w1 - w2) / eps
         sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
-        if sel.size:
-            c, r, q = c[sel], r[sel], q[sel]
-            jv = _j_arrays(params, model, *legs((k, r, q)))
-            delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
-            T = thermal(beta, w_k, wr[sel], wq[sel])
-            g[c] = measure(c, r) * jv * jv * delta * T
+        if not sel.size:
+            return nothing
+        c, r, q = c[sel], r[sel], q[sel]
+        jv = _j_arrays(params, model, *legs((k, r, q)))
+        delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
+        T = thermal(beta, w_k, wr[sel], wq[sel])
+        return measure(c, r) * jv * jv * delta * T
 
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk = 0
-    g_buf = np.empty(min(_MC_CHUNK, n_samples))
     # a value out of the float range leaves a non-finite sum: raised below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        window = _window(shell, r_edges, i_edges, k, absorb)
         while done < n_samples:
             m = min(_MC_CHUNK, n_samples - done)
             key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
-            g = g_buf[:m]
-            g.fill(0.0)
-            for s, u0, u1 in _chunk_blocks(key, m):
-                values(u0, u1, g[s:s + len(u0)])
-            # free the draw buffers before the next chunk allocates its own
-            del u0, u1
+            # the chunk's values in draw order; the sums run over the chunk
+            g = np.concatenate([values(u0, u1)
+                                for _s, u0, u1 in _chunk_blocks(key, m)])
             total += float(np.sum(g))
             total_sq += float(np.sum(np.square(g, out=g)))
             done += m

@@ -326,6 +326,58 @@ def test_oracle_overflowing_absorption_is_an_error_row(capsys):
         "is not finite")
 
 
+@pytest.mark.parametrize("k, samples, shown", [
+    # one weighed draw: stderr sits just below the estimate
+    ("1000", "100000", "2.7236374228950873e-40 +- 2.7236237993403056e-40"),
+    # no draw reaches the shell
+    ("1e100", "10000", "0.0 +- 0.0"),
+])
+@pytest.mark.parametrize("command", ["sweep", "rate", "oracle"])
+def test_monte_carlo_without_enough_draws_is_an_error_row(capsys, command, k,
+                                                          samples, shown):
+    # these printed 2.72e-40 +- 2.72e-40 and 0.0 +- 0.0 with exit 0, while
+    # the decay rate at k = 1000 is about 3.35e-5
+    argv = [command, "--k", k, "--beta-nu", "1", "--samples", samples]
+    argv += (["--process", "beliaev"] if command == "oracle"
+             else ["--methods", "mc", "--rates", "beliaev"])
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert len(rows) == 1
+    if command == "oracle":
+        assert rows[0] == ["beliaev"] + ["error"] * 5
+    else:
+        assert rows[0][4] == "mc" and rows[0][5] == rows[0][6] == "error"
+    assert (f"beliaev rate by monte_carlo is not usable: {shown} rests on "
+            "fewer than two weighed draws") in captured.err
+
+
+@pytest.mark.parametrize("epsilon, shown", [
+    # a few draws in the mollified shell's tails
+    (None, ("2.224574334551178e-11", "2.1824189767703796e-11")),
+    # no draw at all
+    ("1e-6", ("0.0", "0.0")),
+])
+@pytest.mark.parametrize("command", ["sweep", "rate", "oracle"])
+def test_monte_carlo_on_an_empty_support_is_a_number(tmp_path, capsys,
+                                                     command, epsilon, shown):
+    # the concave table leaves the decay no phase space: its rate is a
+    # true zero, so the estimate is printed however few draws it rests on
+    path = write_table(tmp_path / "concave.dat", concave_table())
+    argv = [command, "--potential", "tabulated", "--table", path,
+            "--skip-validation", "--k", "0.3", "--beta-nu", "10",
+            "--samples", "10000"]
+    argv += (["--process", "beliaev"] if command == "oracle"
+             else ["--methods", "mc", "--rates", "beliaev"])
+    if epsilon is not None:
+        argv += ["--epsilon", epsilon]
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert tuple(row[1:3] if command == "oracle" else row[5:7]) == shown
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep setup\nbeta-nu = 10\nk = 0.3\nv = 0.1\n")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -159,16 +160,18 @@ def test_mollifier_width_override():
 
 
 # (estimate, stderr) as drawn before the blocked evaluation and the guide
-# table; 1,234,567 samples end in a partial chunk and a partial block
+# table; 1,234,567 samples end in a partial chunk and a partial block.
+# Four rows moved by 1 ulp when the chunk sums came to run over the
+# weighed draws alone, without the culled draws' zeros.
 PINNED = [
     ("gaussian", 0.3, "beliaev", None, 1_234_567, 0,
-     (6.744991290166536e-07, 2.036426988176576e-08)),
+     (6.744991290166536e-07, 2.0364269881765758e-08)),
     ("gaussian", 0.3, "landau", None, 1_234_567, 0,
      (4.792677255618491e-06, 8.930414167146712e-08)),
     ("flat", 0.45, "beliaev", None, 200_000, 5,
      (3.0188966998307887e-05, 2.251487919156238e-06)),
     ("flat", 0.45, "landau", None, 200_000, 5,
-     (5.152123974424812e-05, 2.2177707173439955e-06)),
+     (5.152123974424812e-05, 2.217770717343996e-06)),
     ("dip", 0.2, "beliaev", None, 200_000, 9,
      (2.7339261908632233e-06, 2.2522561674777116e-07)),
     ("dip", 0.2, "landau", None, 200_000, 9,
@@ -180,13 +183,13 @@ PINNED = [
     # the maxon rows were drawn before the two processes shared one block
     # evaluator; at k = 1 almost no decay draw reaches the shell
     ("maxon", 0.4, "beliaev", None, 200_000, 13,
-     (4.9995918673801214e-05, 3.722451014236922e-06)),
+     (4.999591867380121e-05, 3.722451014236922e-06)),
     ("maxon", 0.4, "landau", None, 200_000, 13,
      (0.0001857820696732471, 2.828401076726605e-05)),
     ("maxon", 1.0, "beliaev", None, 200_000, 13,
      (1.1641693969180884e-26, 1.1606638501294275e-26)),
     ("maxon", 1.0, "landau", None, 200_000, 13,
-     (8.286756778750232e-05, 1.679719969647528e-05)),
+     (8.286756778750231e-05, 1.679719969647528e-05)),
 ]
 
 
@@ -287,6 +290,97 @@ def test_shell_cull_is_exact(name, process):
     assert on_shell > 100
 
 
+@contextlib.contextmanager
+def _open_window():
+    """Run the oracle with its draw-space window open: every draw of a
+    block goes on to the exact cull, which must keep only draws that the
+    window, as built, would have let through.  Yields the number of draws
+    the exact cull kept."""
+    window_draws, shell_draws = damping._window_draws, damping._shell_draws
+    candidates = []
+    kept = [0]
+
+    def window(table, u0, *work):
+        candidates.append(window_draws(table, u0, *work))
+        return np.arange(len(u0))
+
+    def draws(*args):
+        c = shell_draws(*args)
+        assert np.isin(c, candidates.pop()).all()
+        kept[0] += c.size
+        return c
+
+    with mock.patch.object(damping, "_window_draws", window), \
+            mock.patch.object(damping, "_shell_draws", draws):
+        yield kept
+    assert not candidates
+
+
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+@pytest.mark.parametrize("name", ["gaussian", "flat", "dip", "maxon"])
+def test_window_is_exact(name, process):
+    """On each block, every draw the _shell checks keep is a candidate of
+    the window; on the grid of test_shell_cull_is_exact."""
+    with _open_window() as kept:
+        for beta_nu in (1.0, 10.0, 1e3):
+            params, model = _shell_setup(name, beta_nu)
+            for k in (0.05, 0.3, 1.0):
+                w_k = omega_bg(params, model, k)
+                for rel in (1e-3, 1e-9):
+                    mc_oracle(params, model, k, process, rel * w_k,
+                              n_samples=MC_MIN_SAMPLES, seed=3)
+    assert kept[0] > 100
+
+
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+@pytest.mark.parametrize("name", ["gaussian", "flat"])
+def test_window_is_exact_on_dense_draws(name, process):
+    """400,000 draws at beta nu = 10: dense enough that a window built
+    from the least r term of each u0 cell's lowest r cell alone, not of
+    every r cell it reaches, loses draws the exact cull keeps."""
+    params, model = _shell_setup(name, 10.0)
+    with _open_window() as kept:
+        for k in (0.05, 0.3, 1.0):
+            mc_oracle(params, model, k, process, n_samples=400_000, seed=1)
+    assert kept[0] > 1000
+
+
+def test_window_keeps_draws_past_the_table():
+    """The decay of test_draws_past_the_table_raise_as_before: draws past
+    the table bound nothing, so the window keeps them and they raise."""
+    grid = np.linspace(0.0, 2.0, 81)
+    model = TabulatedPotential(grid, np.exp(-grid ** 2 / 2))
+    params = make_params(1.0, 10.0, model.vhat0)
+    with _open_window() as kept:
+        with pytest.raises(ExtrapolationError, match="beyond tabulated"):
+            mc_oracle(params, model, 1.2, "beliaev", n_samples=20000, seed=0)
+    assert kept[0] > 0
+
+
+@pytest.mark.parametrize("process,share", [("beliaev", 0.016),
+                                           ("landau", 0.097)])
+def test_window_candidate_share(process, share):
+    """At the workload point (Gaussian v = 0.1, k = 0.3, beta nu = 10, 1e6
+    samples) the window lets 1.34 % (decay) and 8.09 % (absorption) of
+    the draws through, against 1.18 % and 6.39 % that the exact cull
+    keeps; the bounds allow 20 % more, so a window that opens to every
+    draw fails."""
+    window_draws = damping._window_draws
+    seen = [0, 0]
+
+    def window(table, u0, *work):
+        c = window_draws(table, u0, *work)
+        seen[0] += len(u0)
+        seen[1] += c.size
+        return c
+
+    params, model = gaussian_setup(beta_nu=10.0)
+    with mock.patch.object(damping, "_window_draws", window):
+        mc_oracle(params, model, 0.3, process, n_samples=10 ** 6, seed=0)
+    assert seen[0] == 10 ** 6
+    assert seen[1] < share * seen[0]
+
+
 @pytest.mark.parametrize("cells", [97, 4096])
 def test_cell_bounds_hold_across_stationary_points(cells):
     """On the maxon table, omega anywhere in a cell lies within the cell's
@@ -342,6 +436,14 @@ def _oracle_peak(process, n_samples):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+def test_oracle_memory_holds_no_chunk_buffer(process):
+    # the chunk sums run over the weighed draws alone (4.9 MiB decay,
+    # 6.1 MiB absorption); a zero-filled buffer of a chunk's values
+    # peaked at 12.3 and 13.1 MiB
+    assert _oracle_peak(process, 10 ** 6) < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("process", ["beliaev", "landau"])
