@@ -34,7 +34,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -658,16 +657,12 @@ MC_MIN_SAMPLES = 10_000
 _MC_CHUNK = 1_000_000
 # Samples evaluated at once: keeps temporaries in cache, draws nothing.
 _MC_BLOCK = 1 << 16
-# Guide-table bins of the Landau CDF lookup; a power of two, so u * G is exact.
-_GUIDE_BINS = 1 << 16
-# Cells of q^2, and of the decay's r, in the shell tables; an absorption's
-# r cells are its CDF's.  Cells are at least _MIN_NORMAL wide, so their
-# inverse width is finite.
-_SHELL_CELLS = 4096
-_MIN_NORMAL = 2.0 ** -1022
 # Cells of u0, the radius draw, in the draw-space window; a power of two,
 # so int(u0 * cells) is exact.
 _WINDOW_CELLS = 4096
+# Cells of q^2 in the window's table.  Cells are at least _MIN_NORMAL wide.
+_Q2_CELLS = 4096
+_MIN_NORMAL = 2.0 ** -1022
 # Smallest theta = beta omega(k) mc_oracle accepts.  Its thermal weights
 # square a numerator of about theta and divide by three factors
 # 1 - exp(-beta w) of about beta w each, at most theta apiece on a decay;
@@ -684,49 +679,21 @@ def _too_hot(beta, why):
         f"beta = {beta:g} is too small for the Monte Carlo oracle: {why}")
 
 
-class _Cdf(NamedTuple):
-    """Lookup tables of an ascending CDF cum, cum[0] = 0 and cum[-1] = 1.
+def _cdf_index(cum, i_edges, u, a):
+    """np.searchsorted(cum, u, side="right") - 1 for draws u in [0, 1) of
+    the window cells a, given i_edges, that search at the cells' edges;
+    cum ascends from 0 to 1.
 
-    A guide table of G = bins bins (Chen & Asau, 1974), G a power of two,
-    stored per bin b: its first node guide[b] = searchsorted(cum, b / G,
-    "right") - 1, the next node's cum, and whether the bin reaches past
-    that next node.  span holds each interval's cum[i + 1] - cum[i].
+    The answer lies in [i_edges[a], i_edges[a + 1]]: one comparison
+    settles cells that span at most one node, and draws in wider cells
+    fall back to a binary search of their own.
     """
-
-    cum: np.ndarray
-    bins: int
-    first: np.ndarray
-    next_cum: np.ndarray
-    wide: np.ndarray
-    span: np.ndarray
-
-
-def _cdf_table(cum, bins):
-    guide = np.searchsorted(cum, np.arange(bins + 1) / bins, side="right") - 1
-    first = guide[:-1]
-    return _Cdf(cum, bins, first, cum[first + 1], guide[1:] - first > 1,
-                cum[1:] - cum[:-1])
-
-
-def _cdf_index(cdf, u, idx, b, f, m):
-    """np.searchsorted(cdf.cum, u, side="right") - 1 for u in [0, 1),
-    written into idx; b, f and m are work rows (intp, float, bool) of
-    u's length.
-
-    b = int(u G) is exact and the answer lies in [guide[b], guide[b + 1]]:
-    one comparison settles bins that span at most one node, and draws in
-    wider bins fall back to a binary search of their own.  Every index
-    is in range, so mode="clip" clips nothing; it only skips numpy's
-    bounds check.
-    """
-    np.multiply(u, cdf.bins, out=b, casting="unsafe")
-    np.take(cdf.first, b, out=idx, mode="clip")
-    idx += np.less_equal(np.take(cdf.next_cum, b, out=f, mode="clip"), u,
-                         out=m)
-    wide = np.flatnonzero(np.take(cdf.wide, b, out=m, mode="clip"))
+    i = i_edges[a]
+    wide = np.flatnonzero(i_edges[a + 1] - i > 1)
+    i += cum[i + 1] <= u
     if wide.size:
-        idx[wide] = np.searchsorted(cdf.cum, u[wide], side="right") - 1
-    return idx
+        i[wide] = np.searchsorted(cum, u[wide], side="right") - 1
+    return i
 
 
 def _cell_bounds(branches, x, w):
@@ -736,9 +703,9 @@ def _cell_bounds(branches, x, w):
     On a cell inside one monotone branch of `branches` omega lies between
     the end energies, widened by a relative 1e-9 for the rounding of the
     energies (a tabulated profile's cubic cancels near a soft roton) and
-    of the cell index.  A cell that crosses a branch end, and the entry
-    past the last cell that np.take(mode="clip") gives every index beyond
-    the grid, bound nothing (-inf, inf).
+    of the momenta drawn in the cell, which can land an ulp outside it.
+    A cell that crosses a branch end, and an entry appended past the
+    last cell, bound nothing (-inf, inf).
     """
     inside = np.zeros(len(x) - 1, dtype=bool)
     for b in branches:
@@ -750,33 +717,32 @@ def _cell_bounds(branches, x, w):
     return np.append(lo, -np.inf), np.append(hi, np.inf)
 
 
-class _Shell(NamedTuple):
-    """The cull of draws that cannot reach the mollified shell.
+def _window(params, model, branches, r, q_top, w_k, width, k, absorb):
+    """(mid, half2): per cell a of u0, a u1 interval [mid - half, mid +
+    half] outside which no draw has |S - w_k| < width, with half2 =
+    half^2, or -1 for a cell none of whose draws has; S = omega(q) +
+    omega(r), or omega(q) - omega(r) on an absorption, and r holds the
+    radii of the _WINDOW_CELLS + 1 cell edges of u0.
 
-    A draw with r in cell i of its r table and q^2 in cell j = int(q^2
-    inv_h2) passes a check (rt, qt, lim) when rt[i] + qt[j] <= lim, an
-    index past a table taking its last entry.  A draw that fails either
-    check has an energy sum out of the shell; the more selective check
-    comes first.
+    Bounds of omega on each cell's radii [r[a], r[a + 1]] and on
+    _Q2_CELLS cells of q^2 in [0, q_top^2] give two checks (rt, qt, lim)
+    that a draw of u0 cell a and q^2 cell j can pass only if rt[a] +
+    qt[j] <= lim; q^2 cells past the branch table, and the entry past
+    the q^2 table, bound nothing.  The width is widened by 1e-9 width and
+    8 ulp of the largest energy sum, for the rounding of z.  The hull of
+    the q^2 cells that can pass both checks comes from prefix and suffix
+    minima; widened by one cell, it maps to cos theta by interval
+    arithmetic on q^2 = r^2 + k^2 -+ 2 r k cos theta, then to u1 = (cos
+    theta + 1) / 2, widened by 1e-9.  The q^2 interval is open above
+    where the entry past the q^2 table can pass and the cell's largest
+    q^2, (r + k)^2, reaches it.  A cell whose radius reaches 0, or whose
+    interval is not a number, gets every u1.  Run under np.errstate:
+    extreme inputs overflow here harmlessly.
     """
-
-    inv_h2: float
-    checks: tuple
-
-
-def _shell(params, model, branches, x, w, q_top, w_k, width, absorb):
-    """The _Shell of |S - w_k| < width for S = omega(q) + omega(r), or
-    omega(q) - omega(r) on an absorption, with r cells between the nodes
-    x (energies w) and _SHELL_CELLS cells of q^2 in [0, q_top^2].
-
-    q^2 cells spare the block a square root; cells past the branch table
-    bound nothing.  The window is widened by 1e-9 width and 8 ulp of the
-    largest energy sum, for the rounding of z.
-    """
-    r_lo, r_hi = _cell_bounds(branches, x, w)
-    h2 = max(q_top * q_top / _SHELL_CELLS, _MIN_NORMAL)
+    r_lo, r_hi = _cell_bounds(branches, r, _omega_scalar(params, model, r))
+    h2 = max(q_top * q_top / _Q2_CELLS, _MIN_NORMAL)
     p_hi = branches[-1].p_hi
-    m = int(min(_SHELL_CELLS, p_hi * p_hi / h2))
+    m = int(min(_Q2_CELLS, p_hi * p_hi / h2))  # entry m is past the table
     xq = np.sqrt(np.arange(m + 1) * h2)
     q_lo, q_hi = _cell_bounds(branches, xq, _omega_scalar(params, model, xq))
     w_top = max(float(np.max(t[np.isfinite(t)], initial=0.0))
@@ -784,66 +750,27 @@ def _shell(params, model, branches, x, w, q_top, w_k, width, absorb):
     width += 1e-9 * width + 8.0 * math.ulp(w_k + 2.0 * w_top)
     top, bot = w_k + width, w_k - width
     if absorb:
-        # q_hi - r_lo >= bot first: most absorption draws fall short
         checks = ((r_lo, -q_hi, -bot), (-r_hi, q_lo, top))
     else:
-        # r_lo + q_lo <= top first: most decay draws overshoot
         checks = ((r_lo, q_lo, top), (-r_hi, -q_hi, -bot))
-    return _Shell(1.0 / h2, checks)
-
-
-def _shell_draws(shell, ir, q2, iq, a, b, m):
-    """Indices of the draws that pass both checks of `shell`, given each
-    draw's r cell ir and q^2; iq (intp), a, b (float) and m (bool) are
-    work rows of their length."""
-    np.multiply(q2, shell.inv_h2, out=iq, casting="unsafe")
-    (rt, qt, lim), (rt2, qt2, lim2) = shell.checks
-    np.take(rt, ir, out=a, mode="clip")
-    a += np.take(qt, iq, out=b, mode="clip")
-    c = np.flatnonzero(np.less_equal(a, lim, out=m))
-    ir, iq = ir[c], iq[c]
-    return c[rt2.take(ir, mode="clip") + qt2.take(iq, mode="clip") <= lim2]
-
-
-def _window(shell, r, ir, k, absorb):
-    """(mid, half2): per cell a of u0, a u1 interval [mid - half, mid +
-    half] outside which every draw fails a check of `shell`, with half2 =
-    half^2, or -1 for a cell no draw of which passes; r and ir are the
-    radius and r cell of each of the _WINDOW_CELLS + 1 cell edges of u0.
-
-    Over the r cells a u0 cell reaches, widened by one, each check's least
-    r term bounds the q^2 cells that can pass it.  The hull of the cells
-    that can pass both comes from prefix and suffix minima; widened by one
-    cell, it maps to cos theta by interval arithmetic on q^2 = r^2 + k^2
-    -+ 2 r k cos theta, then to u1 = (cos theta + 1) / 2, widened by 1e-9.
-    The q^2 interval is open above where the entry past the q^2 table can
-    pass and the cell's largest q^2, (r + k)^2, reaches it.  A cell whose
-    radius reaches 0, or whose interval is not a number, gets every u1.
-    Run under np.errstate: extreme inputs overflow here harmlessly.
-    """
-    rt, qt, _ = shell.checks[0]
-    m = len(qt) - 1  # q^2 cells; entry m is the one past the table
-    ends = np.ravel([np.maximum(ir[:-1] - 1, 0),
-                     np.minimum(ir[1:] + 2, len(rt))], order="F")
     j_lo, j_hi, clip = 0, m - 1, True
-    for rt, qt, lim in shell.checks:
-        # the least r term over the r cells [ir[a] - 1, ir[a + 1] + 1]
-        q_lim = lim - np.fmin.reduceat(np.append(rt, np.inf), ends)[::2]
+    for rt, qt, lim in checks:
+        q_lim = lim - rt[:-1]
         pre = np.minimum.accumulate(qt[:m])
         suf = np.minimum.accumulate(qt[:m][::-1])[::-1]
         j_lo = np.maximum(j_lo, np.searchsorted(-pre, -q_lim))
         j_hi = np.minimum(j_hi, np.searchsorted(suf, q_lim, "right") - 1)
         clip = clip & (qt[m] <= q_lim)
     r0, r1 = r[:-1], r[1:]
-    is_open = clip & ((r1 + k) ** 2 * shell.inv_h2 >= m - 1)
+    is_open = clip & ((r1 + k) ** 2 >= (m - 1) * h2)
     j_lo = np.where(j_lo > j_hi, m, j_lo)
-    q_lo = np.maximum(j_lo - 1, 0) / shell.inv_h2
-    q_hi = np.where(is_open, np.inf, (j_hi + 2) / shell.inv_h2)
+    s_lo = np.maximum(j_lo - 1, 0) * h2
+    s_hi = np.where(is_open, np.inf, (j_hi + 2) * h2)
     kk = k * k
     if absorb:
-        n_lo, n_hi = q_lo - r1 * r1 - kk, q_hi - r0 * r0 - kk
+        n_lo, n_hi = s_lo - r1 * r1 - kk, s_hi - r0 * r0 - kk
     else:
-        n_lo, n_hi = r0 * r0 + kk - q_hi, r1 * r1 + kk - q_lo
+        n_lo, n_hi = r0 * r0 + kk - s_hi, r1 * r1 + kk - s_lo
     d_lo, d_hi = 2.0 * k * r0, 2.0 * k * r1
     lo = 0.5 * (n_lo / np.where(n_lo < 0, d_lo, d_hi) + 1.0) - 1e-9
     hi = 0.5 * (n_hi / np.where(n_hi < 0, d_hi, d_lo) + 1.0) + 1e-9
@@ -916,45 +843,45 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     streamed per block from the counter-based stream (_chunk_blocks).  The
     sums run over each chunk's weighed draws, gathered in draw order, so
     the block size moves no bit.  The absorption radius is drawn by an
-    exact CDF lookup (a guide table, equal to a binary search).  Heat
-    beyond what its thermal weights represent in floats (theta = beta
-    omega(k) below _MC_MIN_THETA, or an absorption radius density without
-    a finite total) raises ParameterError naming beta before any draw,
-    and so does a decay ball without a finite volume, naming k.  An
-    estimate or a standard error that leaves the float range raises
-    IntegrandError; the block evaluator runs with numpy's float warnings
-    off, so such a value reaches the sums.  That one evaluator serves both
-    processes, which differ only in their setup: the radius draw and its
-    cell, the draw's measure, the leg order (k; r, q) or (q; r, k), the
-    thermal weight and the prefactor.
+    exact CDF lookup keyed on the draw's window cell (_cdf_index, equal
+    to a binary search).  Heat beyond what its thermal weights represent
+    in floats (theta = beta omega(k) below _MC_MIN_THETA, or an
+    absorption radius density without a finite total) raises
+    ParameterError naming beta before any draw, and a decay ball without
+    a finite volume raises one naming k, or epsilon where 5 epsilon
+    outweighs omega(k) in the ball's energy.  An estimate or a standard
+    error that leaves the float range raises IntegrandError, and so does
+    a standard error whose squared per-draw values underflow (var / n
+    below the smallest normal float while the estimate is not 0); the
+    block evaluator runs with numpy's float warnings off, so such a
+    value reaches the sums.  That one evaluator serves both processes,
+    which differ only in their setup: the radius draw, the draw's
+    measure, the leg order (k; r, q) or (q; r, k), the thermal weight
+    and the prefactor.
 
     Only draws that can reach the mollified shell |z| < 39 are evaluated,
-    a squeeze (Marsaglia 1977).  Bounds of omega on 4096 cells of r (the
-    CDF's intervals on an absorption) and of q^2 bound each draw's energy
-    sum (_shell).  They trust the branch table's monotone pieces; cells it
-    does not cover, past a tabulated profile's range among them, bound
-    nothing, so their draws are always evaluated and raise as they did
-    without the cull.  The cull runs in two stages:
-      * in draw space, before any transform: a table built once per call
-        from those bounds gives each of 4096 cells of the radius draw u0
-        an interval of the angle draw u1 outside which every draw fails
-        them (_window), so one lookup and one comparison per draw pick
-        the candidates;
-      * on the candidates, copied out of the block: the radius, the angle,
-        q^2 and the exact checks, and on the draws whose bounds meet the
-        shell, widened for rounding, omega, z and the vertex.
-    At the Gaussian v = 0.1, k = 0.3, beta nu = 10 point (1e6 samples,
-    seed 0) the window keeps 1.34 % (decay) and 8.09 % (absorption) of
-    the draws and the exact checks 1.18 % and 6.39 %.  Elementwise ufuncs
-    give the same results on a subset as on the whole block, so every
-    draw's value is the one it had without the cull; only the grouping of
-    the sums, which no longer add the culled draws' zeros, moves the last
-    bits.  Cell indices and the radius lookup work in the two draw
-    buffers and five work rows allocated once per call, so memory is
-    about 3.6 MB of rows, the chunk's weighed values (0.5 MB at 6 % of
-    1e6 draws), and 1.1 MB of CDF tables on an absorption, independent of
-    n_samples: tracemalloc peaks at 4.9 MiB (decay) and 6.1 MiB
-    (absorption).
+    a squeeze (Marsaglia 1977), and the cull runs in draw space, before
+    any transform.  Each of 4096 cells a = int(u0 4096) of the radius
+    draw u0 spans the radii between those of its edges; bounds of omega
+    on those radii and on 4096 cells of q^2 bound each draw's energy sum,
+    and a table built once per call from them gives each cell an
+    interval of the angle draw u1 outside which no draw reaches the
+    shell (_window).  So one lookup and one comparison per draw pick the
+    candidates, and the radius, the angle, omega, z and, on the shell,
+    the vertex run on those alone.  The bounds trust the branch table's
+    monotone pieces; cells it does not cover, past a tabulated profile's
+    range among them, bound nothing, so their draws are always evaluated
+    and raise as they did without the cull.  At the Gaussian v = 0.1,
+    k = 0.3, beta nu = 10 point (1e6 samples, seed 0) the window keeps
+    1.33 % (decay) and 7.55 % (absorption) of the draws, and 1.15 % and
+    5.61 % are weighed.  Elementwise ufuncs give the same results on a
+    subset as on the whole block, so every draw's value is the one it
+    had without the cull; only the grouping of the sums, which do not add
+    the culled draws' zeros, moves the last bits.  The cells and the
+    window work in the two draw buffers and four work rows allocated once
+    per call, so memory is about 2.6 MB of rows and the chunk's weighed
+    values (0.45 MB at 5.6 % of 1e6 draws), independent of n_samples:
+    tracemalloc peaks at 3.7 MiB (decay) and 4.0 MiB (absorption).
 
     The pair comes back as computed even where the standard error is not
     well below the estimate: (0.0, 0.0) where no draw reaches the shell,
@@ -985,11 +912,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                              "leave the float range")
 
     nb = min(_MC_BLOCK, n_samples)
-    work = np.empty((3, nb))
-    iwork = np.empty((2, nb), dtype=np.intp)
+    work = np.empty((2, nb))
+    cells = np.empty(nb, dtype=np.intp)
     keep = np.empty(nb, dtype=bool)
     absorb = process == "landau"
-    # the window's cell edges of u0, the last one a draw below 1
+    # draw(u0, a) -> (radii, the index measure takes) for draws of window
+    # cells a; the window's cell edges of u0, the last one a draw below 1
     edges = np.minimum(np.arange(_WINDOW_CELLS + 1) / _WINDOW_CELLS,
                        math.nextafter(1.0, 0.0))
     if not absorb:
@@ -997,28 +925,24 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         branches = branch_table(params, model, energy)
         R = invert_dispersion(branches[0], energy)
         if not R < _MC_MAX_RADIUS:
+            cause = f"k = {k:g}" if w_k >= 5.0 * eps else f"epsilon = {eps:g}"
             raise ParameterError(
-                f"k = {k:g} is too large for the Monte Carlo oracle: its "
-                f"decay ball of radius {R:g} has no finite volume")
+                f"{cause} is too large for the Monte Carlo oracle: the decay "
+                f"ball of energy omega(k) + 5 epsilon = {energy:g} has radius "
+                f"{R:g} and no finite volume")
         vol = 4.0 * math.pi / 3.0 * R ** 3
         pref = 1.0 / (16.0 * math.pi ** 2)
         thermal = _mc_thermal_beliaev
         legs = itemgetter(0, 1, 2)  # (k; r, q)
-        h = max(R / _SHELL_CELLS, _MIN_NORMAL)
-        inv_h = 1.0 / h
-        x = np.arange(_SHELL_CELLS + 1) * h
-        w_x = _omega_scalar(params, model, x)
 
-        def draw(u, ir):
+        def draw(u, a):
             r = np.cbrt(u, out=u)
             r *= R
-            np.multiply(r, inv_h, out=ir, casting="unsafe")
-            return r
+            return r, a
 
-        def measure(c, r):
+        def measure(a, r):
             return vol
-        i_edges = np.empty(len(edges), dtype=np.intp)
-        r_edges = draw(edges, i_edges)
+        r_edges, _ = draw(edges, None)
     else:
         t_cap = _landau_t_max(beta, w_k) + 10.0
         u_cap = t_cap / beta
@@ -1039,56 +963,38 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
             raise _too_hot(beta, f"the absorption radius density on [0, "
                                  f"{R:g}] has no finite total")
         cum /= cum[-1]
-        cdf = _cdf_table(cum, _GUIDE_BINS)
-        span = work[0]
+        mass = np.diff(cum)
 
-        def radius(u, ir):
-            # a radius's cell is its CDF interval, whose mass span keeps;
-            # cum[-1] == 1 > u, so ir <= len(x) - 2 and span > 0
-            n = len(u)
-            t = work[1, :n]
-            np.take(cdf.span, ir, out=span[:n], mode="clip")
-            r = np.subtract(u, np.take(cum, ir, out=t, mode="clip"), out=u)
-            r /= span[:n]
-            r *= dx
-            r += np.take(x, ir, out=t, mode="clip")
-            return r
+        def radius(u, i):
+            # cum[-1] == 1 > u, so i <= len(x) - 2 and mass[i] > 0
+            return (u - cum[i]) / mass[i] * dx + x[i]
 
-        def draw(u, ir):
-            n = len(u)
-            _cdf_index(cdf, u, ir, iwork[1, :n], work[1, :n], keep[:n])
-            return radius(u, ir)
+        def draw(u, a):
+            i = _cdf_index(cum, i_edges, u, a)
+            return radius(u, i), i
 
-        def measure(c, r):
-            return 4.0 * math.pi * r ** 2 / (span[c] / dx)
-        # the edges' CDF intervals, by the search _cdf_index equals
+        def measure(i, r):
+            return 4.0 * math.pi * r ** 2 / (mass[i] / dx)
         i_edges = np.searchsorted(cum, edges, side="right") - 1
         r_edges = radius(edges, i_edges)
-    shell = _shell(params, model, branches, x, w_x, R + k, w_k, 39.0 * eps,
-                   absorb)
 
     nothing = np.empty(0)
 
     def values(u0, u1):
         """The weighed draws' values of one block, in draw order."""
         n = len(u0)
-        c = _window_draws(window, u0, u1, iwork[0, :n], work[1, :n],
-                           work[2, :n], keep[:n])
+        a = cells[:n]
+        c = _window_draws(window, u0, u1, a, work[0, :n], work[1, :n],
+                          keep[:n])
         if not c.size:
             return nothing
-        u0, u1 = u0[c], u1[c]
         n = len(c)
-        ir, iq = iwork[:, :n]
-        r = draw(u0, ir)
-        cth = u1
+        r, i = draw(u0[c], a[c])
+        cth = u1[c]
         cth *= 2.0
         cth -= 1.0
-        q2 = _third_leg(r, cth, k, absorb, work[1, :n], work[2, :n])
-        c = _shell_draws(shell, ir, q2, iq, work[2, :n], u1, keep[:n])
-        if not c.size:
-            return nothing
-        r = r[c]
-        q = np.sqrt(np.maximum(q2[c], 0.0))
+        q2 = _third_leg(r, cth, k, absorb, work[0, :n], work[1, :n])
+        q = np.sqrt(np.maximum(q2, 0.0))
         wr = omega_bg(params, model, r)
         wq = omega_bg(params, model, q)
         w0, w1, w2 = legs((w_k, wr, wq))
@@ -1096,11 +1002,11 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         sel = np.flatnonzero((np.abs(z) < 39.0) & (q > 0) & (r > 0))
         if not sel.size:
             return nothing
-        c, r, q = c[sel], r[sel], q[sel]
+        r, q = r[sel], q[sel]
         jv = _j_arrays(params, model, *legs((k, r, q)))
         delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
         T = thermal(beta, w_k, wr[sel], wq[sel])
-        return measure(c, r) * jv * jv * delta * T
+        return measure(i[sel], r) * jv * jv * delta * T
 
     total = 0.0
     total_sq = 0.0
@@ -1108,7 +1014,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     chunk = 0
     # a value out of the float range leaves a non-finite sum: raised below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        window = _window(shell, r_edges, i_edges, k, absorb)
+        window = _window(params, model, branches, r_edges, R + k, w_k,
+                         39.0 * eps, k, absorb)
         while done < n_samples:
             m = min(_MC_CHUNK, n_samples - done)
             key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
@@ -1127,6 +1034,10 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         raise IntegrandError(
             f"Monte Carlo {process} estimate {est!r} +- {stderr!r} is not "
             "finite: the per-draw values leave the float range")
+    if total and not var / n_samples >= _MIN_NORMAL:
+        raise IntegrandError(
+            f"Monte Carlo {process} estimate {est!r} has a standard error "
+            "below the float range: the squared per-draw values underflow")
     return est, stderr
 
 

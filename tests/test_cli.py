@@ -310,6 +310,23 @@ def test_oracle_non_finite_stderr_is_an_error_row(capsys):
     assert "nan" not in captured.out
 
 
+def test_oracle_at_a_huge_width_is_an_error_row_naming_it(capsys):
+    # the decay's error blamed k; the absorption's squared draws all
+    # underflow, and it printed 1.117e-305 +- 0.0 and exited 0
+    rc = main(["oracle", "--k", "0.3", "--beta-nu", "10", "--samples",
+               "10000", "--seed", "1", "--epsilon", "1e300"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert rows == [[proc] + ["error"] * 5 for proc in ("beliaev", "landau")]
+    errs = captured.err.strip().split("\n")
+    assert errs[0].startswith("error in oracle (beliaev): epsilon = 1e+300 is "
+                              "too large for the Monte Carlo oracle")
+    assert errs[1].startswith("error in oracle (landau): Monte Carlo landau "
+                              "estimate 1.117338720387889e-305 has a standard "
+                              "error below the float range")
+
+
 def test_oracle_overflowing_absorption_is_an_error_row(capsys):
     # the block evaluation warned (overflow, divide, invalid) before the
     # non-finite sums raised; the suite turns warnings into errors, so

@@ -2,7 +2,8 @@
 
 No linter ships with the package's dependencies, so this checks the two
 kinds of dead code a linter would: a module-level import nothing uses,
-and a private module-level function or class nothing references.
+and a private module-level function, class or constant nothing
+references.
 """
 import ast
 import pathlib
@@ -64,6 +65,20 @@ def _unused_imports(modules):
     return found
 
 
+def _defined(node):
+    """The name a module-level def, class or single-name assignment
+    binds, or None."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        node = node.targets[0]
+    elif isinstance(node, ast.AnnAssign):
+        node = node.target
+    else:
+        return None
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _unreferenced_private(modules):
     found = []
     reexported = set().union(*_imported_from(modules).values())
@@ -71,14 +86,15 @@ def _unreferenced_private(modules):
             for top in tree.body]
     for mod, tree in modules.items():
         for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")):
+            name = _defined(node)
+            if not (name and name.startswith("_")
+                    and not name.startswith("__")):
                 continue
             # a definition's own body is not a reference to it
-            if not (node.name in reexported
-                    or any(node.name in names
+            if not (name in reexported
+                    or any(name in names
                            for top, names in tops if top is not node)):
-                found.append(f"{mod}.py:{node.lineno} {node.name}")
+                found.append(f"{mod}.py:{node.lineno} {name}")
     return found
 
 
@@ -96,9 +112,12 @@ def test_checks_find_planted_dead_code():
                         "def _dead():\n    return _dead()\n"
                         "def _live():\n    return 1\n"
                         "class _Unused:\n    pass\n"
-                        "x = _live()\n")
+                        "x = _live()\n"
+                        "_LEFT = 1\n_KEPT: int = 2\n__version__ = '1'\n"
+                        "y = _KEPT\n")
     modules = {"planted": planted}
     assert _unused_imports(modules) == ["planted.py:1 os",
                                         "planted.py:2 sqrt"]
     assert _unreferenced_private(modules) == ["planted.py:4 _dead",
-                                              "planted.py:8 _Unused"]
+                                              "planted.py:8 _Unused",
+                                              "planted.py:11 _LEFT"]

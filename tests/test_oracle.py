@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bogodamp import damping
 from bogodamp.bogoliubov import branch_table, omega_bg
-from bogodamp.damping import (MC_MIN_SAMPLES, _cdf_index, _cdf_table,
+from bogodamp.damping import (MC_MIN_SAMPLES, _cdf_index,
                               gamma_beliaev_quadrature,
                               gamma_landau_quadrature, mc_oracle)
 from bogodamp.errors import ExtrapolationError, IntegrandError, ParameterError
@@ -25,6 +25,9 @@ DIP = load_tabulated(os.path.join(os.path.dirname(__file__), "data",
                                   "dip_profile.dat"))
 FLAT = FlatCutoffPotential(v0=0.8, Lambda=1.5)
 MAXON = maxon_roton_table()
+# a table that ends at k = 2, short of some draws' third leg
+_GRID = np.linspace(0.0, 2.0, 81)
+SHORT = TabulatedPotential(_GRID, np.exp(-_GRID ** 2 / 2))
 
 
 def test_deterministic_for_fixed_seed():
@@ -109,6 +112,17 @@ def test_rejects_a_decay_ball_without_finite_volume_before_sampling(beta, k):
     draw.assert_not_called()
 
 
+def test_decay_ball_too_wide_for_epsilon_names_epsilon():
+    """At k = 0.3 an epsilon of 1e300 puts the ball's energy omega(k) +
+    5 epsilon at 5e300; the error used to blame k."""
+    params, model = gaussian_setup(beta_nu=10.0)
+    with pytest.raises(ParameterError, match=re.escape(
+            "epsilon = 1e+300 is too large for the Monte Carlo oracle: the "
+            "decay ball of energy omega(k) + 5 epsilon = 5e+300 has radius")):
+        mc_oracle(params, model, 0.3, "beliaev", epsilon=1e300,
+                  n_samples=10 ** 4)
+
+
 def test_decay_ball_volume_bound_is_finite():
     R = damping._MC_MAX_RADIUS
     assert math.isfinite(4.0 * math.pi / 3.0 * math.nextafter(R, 0.0) ** 3)
@@ -123,6 +137,19 @@ def test_non_finite_estimate_raises(beta_nu, k):
     with pytest.raises(IntegrandError, match="is not finite"):
         mc_oracle(params, model, k, "beliaev", epsilon=1e-30,
                   n_samples=10 ** 4)
+
+
+def test_underflowing_stderr_raises():
+    """At epsilon = 1e300 every squared absorption draw underflows, and
+    the pair came back as (1.1e-305, 0.0); at epsilon = 1e100 the same
+    draws give a relative standard error of 2.7 %."""
+    params, model = gaussian_setup(beta_nu=10.0)
+    with pytest.raises(IntegrandError, match="standard error below the float"):
+        mc_oracle(params, model, 0.3, "landau", epsilon=1e300,
+                  n_samples=10 ** 4, seed=1)
+    est, err = mc_oracle(params, model, 0.3, "landau", epsilon=1e100,
+                         n_samples=10 ** 4, seed=1)
+    assert err / est == pytest.approx(0.027, abs=1e-3)
 
 
 def test_overflowing_block_raises_without_a_warning():
@@ -222,11 +249,9 @@ def test_block_size_moves_no_bit(monkeypatch, block, process, want):
 def test_draws_past_the_table_raise_as_before():
     # q reaches past k_max = 2 here; the cull evaluates every draw past
     # the table, so the error still names the block's largest q
-    grid = np.linspace(0.0, 2.0, 81)
-    model = TabulatedPotential(grid, np.exp(-grid ** 2 / 2))
-    params = make_params(1.0, 10.0, model.vhat0)
+    params = make_params(1.0, 10.0, SHORT.vhat0)
     with pytest.raises(ExtrapolationError) as err:
-        mc_oracle(params, model, 1.2, "beliaev", n_samples=20000, seed=0)
+        mc_oracle(params, SHORT, 1.2, "beliaev", n_samples=20000, seed=0)
     assert str(err.value) == ("k = 2.391072890320565 beyond tabulated "
                               "range [0, 2.0]")
 
@@ -234,137 +259,77 @@ def test_draws_past_the_table_raise_as_before():
 def _shell_setup(name, beta_nu):
     if name == "gaussian":
         return gaussian_setup(beta_nu=beta_nu)
-    model = {"flat": FLAT, "dip": DIP, "maxon": MAXON}[name]
+    model = {"flat": FLAT, "dip": DIP, "maxon": MAXON, "short": SHORT}[name]
     return make_params(1.0, beta_nu, model.vhat0), model
 
 
-@pytest.mark.parametrize("process", ["beliaev", "landau"])
-@pytest.mark.parametrize("name", ["gaussian", "flat", "dip", "maxon"])
-def test_shell_cull_is_exact(name, process):
-    """On each block, every draw with |z| < 39 over the whole block, as
-    evaluated without the cull, is a candidate.  And each check bounds
-    every draw's energy sum S: rt + qt <= S for a decay's first check and
-    an absorption's second, rt + qt <= -S for the other two."""
-    blocks = []
-    on_shell = 0
-    third_leg, shell_draws = damping._third_leg, damping._shell_draws
-
-    def leg(r, *args):
-        blocks.append(r.copy())
-        return third_leg(r, *args)
-
-    def draws(shell, ir, q2, iq, *work):
-        nonlocal on_shell
-        c = shell_draws(shell, ir, q2, iq, *work)
-        r = blocks.pop()
-        q = np.sqrt(np.maximum(q2, 0.0))
-        wr = omega_bg(params, model, r)
-        wq = omega_bg(params, model, q)
-        if process == "beliaev":
-            z = (w_k - wr - wq) / eps
-            s = wr + wq
-            sides = (s, -s)
-        else:
-            z = (wq - wr - w_k) / eps
-            s = wq - wr
-            sides = (-s, s)
-        on = np.flatnonzero(np.abs(z) < 39.0)
-        assert np.isin(on, c).all()
-        on_shell += on.size
-        for (rt, qt, _lim), side in zip(shell.checks, sides):
-            bound = rt.take(ir, mode="clip") + qt.take(iq, mode="clip")
-            assert np.all(bound <= side)
-        return c
-
-    with mock.patch.object(damping, "_third_leg", leg), \
-            mock.patch.object(damping, "_shell_draws", draws):
-        for beta_nu in (1.0, 10.0, 1e3):
-            params, model = _shell_setup(name, beta_nu)
-            for k in (0.05, 0.3, 1.0):
-                w_k = omega_bg(params, model, k)
-                for rel in (1e-3, 1e-9):
-                    eps = rel * w_k
-                    mc_oracle(params, model, k, process, eps,
-                              n_samples=MC_MIN_SAMPLES, seed=3)
-    assert not blocks
-    assert on_shell > 100
+# (beta nu, k, epsilon / omega(k), samples, seed) of each exactness run
+GRID = [(beta_nu, k, rel, MC_MIN_SAMPLES, 3) for beta_nu in (1.0, 10.0, 1e3)
+        for k in (0.05, 0.3, 1.0) for rel in (1e-3, 1e-9)]
+# dense enough that a window built from each u0 cell's lowest radius
+# alone, not from every radius it reaches, loses draws on the shell
+DENSE = [(10.0, k, 1e-3, 400_000, 1) for k in (0.05, 0.3, 1.0)]
 
 
-@contextlib.contextmanager
-def _open_window():
-    """Run the oracle with its draw-space window open: every draw of a
-    block goes on to the exact cull, which must keep only draws that the
-    window, as built, would have let through.  Yields the number of draws
-    the exact cull kept."""
-    window_draws, shell_draws = damping._window_draws, damping._shell_draws
+@pytest.mark.parametrize("name,process,runs,least", [
+    *[pytest.param(name, process,
+                   GRID + DENSE if name in ("gaussian", "flat") else GRID,
+                   100, id=f"{name}-{process}")
+      for name in ("gaussian", "flat", "dip", "maxon")
+      for process in ("beliaev", "landau")],
+    # the decay of test_draws_past_the_table_raise_as_before
+    pytest.param("short", "beliaev", [(10.0, 1.2, 1e-3, 20_000, 0)], 1,
+                 id="short-beliaev"),
+])
+def test_window_is_exact(name, process, runs, least):
+    """With every draw of a block let through, every draw that has |z| <
+    39 or a third leg past a tabulated profile's range (where omega
+    raises) is a candidate of the window as built: the cull drops no
+    draw the oracle weighs."""
+    window_draws, third_leg = damping._window_draws, damping._third_leg
     candidates = []
-    kept = [0]
+    point = []
+    checked = 0
 
     def window(table, u0, *work):
         candidates.append(window_draws(table, u0, *work))
         return np.arange(len(u0))
 
-    def draws(*args):
-        c = shell_draws(*args)
-        assert np.isin(c, candidates.pop()).all()
-        kept[0] += c.size
-        return c
+    def leg(r, cth, k, absorb, *work):
+        nonlocal checked
+        q2 = third_leg(r, cth, k, absorb, *work)
+        params, model, w_k, eps = point
+        q = np.sqrt(np.maximum(q2, 0.0))
+        past = q > getattr(model, "k_max", np.inf)
+        wr = omega_bg(params, model, r)
+        wq = omega_bg(params, model, np.where(past, 0.0, q))
+        z = ((wq - wr - w_k) if absorb else (w_k - wr - wq)) / eps
+        must = np.flatnonzero(past | (np.abs(z) < 39.0))
+        assert np.isin(must, candidates.pop()).all()
+        checked += must.size
+        return q2
 
     with mock.patch.object(damping, "_window_draws", window), \
-            mock.patch.object(damping, "_shell_draws", draws):
-        yield kept
-    assert not candidates
-
-
-@pytest.mark.parametrize("process", ["beliaev", "landau"])
-@pytest.mark.parametrize("name", ["gaussian", "flat", "dip", "maxon"])
-def test_window_is_exact(name, process):
-    """On each block, every draw the _shell checks keep is a candidate of
-    the window; on the grid of test_shell_cull_is_exact."""
-    with _open_window() as kept:
-        for beta_nu in (1.0, 10.0, 1e3):
+            mock.patch.object(damping, "_third_leg", leg):
+        for beta_nu, k, rel, n, seed in runs:
             params, model = _shell_setup(name, beta_nu)
-            for k in (0.05, 0.3, 1.0):
-                w_k = omega_bg(params, model, k)
-                for rel in (1e-3, 1e-9):
-                    mc_oracle(params, model, k, process, rel * w_k,
-                              n_samples=MC_MIN_SAMPLES, seed=3)
-    assert kept[0] > 100
-
-
-@pytest.mark.parametrize("process", ["beliaev", "landau"])
-@pytest.mark.parametrize("name", ["gaussian", "flat"])
-def test_window_is_exact_on_dense_draws(name, process):
-    """400,000 draws at beta nu = 10: dense enough that a window built
-    from the least r term of each u0 cell's lowest r cell alone, not of
-    every r cell it reaches, loses draws the exact cull keeps."""
-    params, model = _shell_setup(name, 10.0)
-    with _open_window() as kept:
-        for k in (0.05, 0.3, 1.0):
-            mc_oracle(params, model, k, process, n_samples=400_000, seed=1)
-    assert kept[0] > 1000
-
-
-def test_window_keeps_draws_past_the_table():
-    """The decay of test_draws_past_the_table_raise_as_before: draws past
-    the table bound nothing, so the window keeps them and they raise."""
-    grid = np.linspace(0.0, 2.0, 81)
-    model = TabulatedPotential(grid, np.exp(-grid ** 2 / 2))
-    params = make_params(1.0, 10.0, model.vhat0)
-    with _open_window() as kept:
-        with pytest.raises(ExtrapolationError, match="beyond tabulated"):
-            mc_oracle(params, model, 1.2, "beliaev", n_samples=20000, seed=0)
-    assert kept[0] > 0
+            w_k = omega_bg(params, model, k)
+            point[:] = params, model, w_k, rel * w_k
+            with (pytest.raises(ExtrapolationError, match="beyond tabulated")
+                  if name == "short" else contextlib.nullcontext()):
+                mc_oracle(params, model, k, process, rel * w_k, n, seed)
+    assert not candidates
+    assert checked >= least
 
 
 @pytest.mark.parametrize("process,share", [("beliaev", 0.016),
                                            ("landau", 0.097)])
 def test_window_candidate_share(process, share):
     """At the workload point (Gaussian v = 0.1, k = 0.3, beta nu = 10, 1e6
-    samples) the window lets 1.34 % (decay) and 8.09 % (absorption) of
-    the draws through, against 1.18 % and 6.39 % that the exact cull
-    keeps; the bounds allow 20 % more, so a window that opens to every
-    draw fails."""
+    samples) the window lets 1.33 % (decay) and 7.55 % (absorption) of
+    the draws through, against 1.15 % and 5.61 % that are weighed; the
+    bounds allow at least 20 % more, and fail a window that opens to
+    every draw."""
     window_draws = damping._window_draws
     seen = [0, 0]
 
@@ -399,13 +364,13 @@ def test_cell_bounds_hold_across_stationary_points(cells):
     assert np.all(lo[:-1, None] <= w) and np.all(w <= hi[:-1, None])
 
 
-@pytest.mark.parametrize("process,elements", [("beliaev", 59877),
-                                              ("landau", 253371)])
+@pytest.mark.parametrize("process,elements", [("beliaev", 62901),
+                                              ("landau", 280618)])
 def test_oracle_profile_element_budget(process, elements):
     """Array profile elements of one call at the workload point (Gaussian
     v = 0.1, k = 0.3, beta nu = 10, 1e6 samples): the branch scan, the
-    shell tables, omega on the draws the cull keeps and the vertex on the
-    shell.  Evaluating omega at every draw took 2028159 (decay) and
+    window's tables, omega on the window's candidates and the vertex on
+    the shell.  Evaluating omega at every draw took 2028159 (decay) and
     2121508 (absorption)."""
     m = CountingVhat(GaussianPotential(v=0.1, nu=1.0))
     mc_oracle(make_params(1.0, 10.0, m.vhat0), m, 0.3, process,
@@ -474,14 +439,14 @@ def test_streamed_rows_equal_the_whole_draw(m):
     assert np.array_equal(np.concatenate(rows1), want[1])
 
 
-def _edge_draws(cum, bins, picks):
-    """u in [0, 1): the ends, bin edges j/G and nodes, each also one ulp
+def _edge_draws(cum, cells, picks):
+    """u in [0, 1): the ends, cell edges j/G and nodes, each also one ulp
     below, plus arbitrary draws."""
     top = np.nextafter(1.0, 0.0)
     out = [0.0, top]
     for kind, j, x in picks:
         if kind == "edge":
-            v = (j % bins) / bins
+            v = (j % cells) / cells
         elif kind == "node":
             v = float(cum[j % len(cum)])
         else:
@@ -490,16 +455,12 @@ def _edge_draws(cum, bins, picks):
     return np.minimum(np.array(out), top)
 
 
-def _lookup(cdf, u):
-    n = len(u)
-    return _cdf_index(cdf, u, np.empty(n, np.intp), np.empty(n, np.intp),
-                      np.empty(n), np.empty(n, bool))
-
-
-def _assert_lookup_exact(cdf, u, got=None):
-    got = _lookup(cdf, u) if got is None else got
-    want = np.searchsorted(cdf.cum, u, side="right") - 1
-    assert np.array_equal(got, want)
+def _assert_lookup_exact(cum, i_edges, u):
+    """_cdf_index over G = len(i_edges) - 1 cells of u, G a power of two,
+    equals the binary search it stands for."""
+    a = (u * (len(i_edges) - 1)).astype(np.intp)
+    got = _cdf_index(cum, i_edges, u, a)
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right") - 1)
 
 
 PICKS = st.lists(st.tuples(st.sampled_from(["edge", "node", "any"]),
@@ -512,48 +473,55 @@ PICKS = st.lists(st.tuples(st.sampled_from(["edge", "node", "any"]),
 @given(head=st.integers(0, 4096), power=st.sampled_from([1, 2, 6]),
        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
                         max_size=300),
-       log_bins=st.sampled_from([4, 8, 16]), picks=PICKS,
+       log_cells=st.sampled_from([4, 8, 12, 16]), picks=PICKS,
        seed=st.integers(0, 2 ** 32 - 1))
-def test_cdf_index_equals_searchsorted(head, power, weights, log_bins, picks,
+def test_cdf_index_equals_searchsorted(head, power, weights, log_cells, picks,
                                        seed):
     # a steep head (density x^power over `head` nodes) crowds many nodes
-    # into the first bins; zero weights make flat runs of equal nodes
+    # into the first cells; zero weights make flat runs of equal nodes
     x = np.arange(head) / max(head, 1)
     w = np.concatenate((x ** power, weights))
     assume(w.size and np.sum(w) > 0)
     cum = np.concatenate(([0.0], np.cumsum(w)))
     cum /= cum[-1]
-    bins = 2 ** log_bins
-    u = np.concatenate((_edge_draws(cum, bins, picks),
+    cells = 2 ** log_cells
+    # the cell edges as mc_oracle takes them, the last one below 1
+    edges = np.minimum(np.arange(cells + 1) / cells, np.nextafter(1.0, 0.0))
+    i_edges = np.searchsorted(cum, edges, side="right") - 1
+    u = np.concatenate((_edge_draws(cum, cells, picks),
                         np.random.default_rng(seed).random(500)))
-    _assert_lookup_exact(_cdf_table(cum, bins), u)
+    _assert_lookup_exact(cum, i_edges, u)
 
 
 @pytest.fixture(scope="module")
 def oracle_cdfs():
-    """Lookup tables of the Landau sampler at k/sqrt(nu) in {0.05, 0.3, 2}
-    and beta*nu in {1, 10, 1e3}, each checked on the oracle's own draws."""
+    """(cum, i_edges) of the Landau sampler at k/sqrt(nu) in {0.05, 0.3,
+    2} and beta*nu in {1, 10, 1e3}, each checked on the oracle's own
+    draws, whose window cells it is given."""
     seen = []
 
-    def spy(cdf, u, *work):
-        got = _cdf_index(cdf, u, *work)
-        _assert_lookup_exact(cdf, u, got)
-        seen.append(cdf)
-        return got
+    def spy(cum, i_edges, u, a):
+        assert len(i_edges) == damping._WINDOW_CELLS + 1
+        assert np.array_equal(a, (u * damping._WINDOW_CELLS).astype(np.intp))
+        _assert_lookup_exact(cum, i_edges, u)
+        seen.append((cum, i_edges))
+        return _cdf_index(cum, i_edges, u, a)
 
+    tables = []
     with mock.patch.object(damping, "_cdf_index", spy):
         for bn in (1.0, 10.0, 1e3):
             params, model = gaussian_setup(beta_nu=bn)
             for k in (0.05, 0.3, 2.0):
+                seen.clear()
                 mc_oracle(params, model, k, "landau",
                           n_samples=MC_MIN_SAMPLES, seed=0)
-    assert len(seen) == 9
-    return seen
+                tables.append(seen[-1])
+    return tables
 
 
 @settings(max_examples=60, deadline=None)
 @given(which=st.integers(0, 8), picks=PICKS)
 def test_cdf_index_on_oracle_cdfs(oracle_cdfs, which, picks):
-    cdf = oracle_cdfs[which]
-    assert cdf.bins == len(cdf.first) == 2 ** 16
-    _assert_lookup_exact(cdf, _edge_draws(cdf.cum, 2 ** 16, picks))
+    cum, i_edges = oracle_cdfs[which]
+    cells = len(i_edges) - 1
+    _assert_lookup_exact(cum, i_edges, _edge_draws(cum, cells, picks))
