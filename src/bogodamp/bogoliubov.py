@@ -328,9 +328,6 @@ def detect_branches(params: GasParameters, model: PotentialModel,
 # Iteration cap of invert_dispersion: bisection alone shrinks a node
 # interval to adjacent floats in well under this many steps.
 _INVERT_MAXIT = 200
-# Relative error of the slope a Newton step may carry: the tabulated
-# profile differentiates by central differences with step 1e-6 k.
-_SLOPE_RTOL = 1e-6
 
 
 def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
@@ -341,15 +338,14 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
     (linear where the node slopes would make the cubic non-monotone) and
     falls back to bisection whenever a step leaves the bracket or fails
     to halve.  After a Newton step delta the error left is at most
-    K delta^2 + _SLOPE_RTOL |delta|, with K = 2 |d_b - d_a| / (|p_b - p_a|
-    min(|d_a|, |d_b|)) from the node slopes d: four times the secant
-    estimate of Newton's constant |omega''| / (2 |omega'|) on the
-    interval.  The tangents, their admissibility and K are the branch's
-    stored constants of the interval (DispersionBranch); a call only
-    looks them up.  The step is the last once that bound is at most an
-    ulp of the new iterate.  Otherwise the loop ends on an exact zero, on
-    a step below half an ulp, or when the bracket closes to adjacent
-    floats.
+    K delta^2, with K = 2 |d_b - d_a| / (|p_b - p_a| min(|d_a|, |d_b|))
+    from the node slopes d: four times the secant estimate of Newton's
+    constant |omega''| / (2 |omega'|) on the interval.  The tangents,
+    their admissibility and K are the branch's stored constants of the
+    interval (DispersionBranch); a call only looks them up.  The step is
+    the last once that bound is at most an ulp of the new iterate.
+    Otherwise the loop ends on an exact zero, on a step below half an
+    ulp, or when the bracket closes to adjacent floats.
     Either way the result is within a few ulp of a sign change of
     omega(p) - omega, so its energy residual is a few ulp of omega.  A
     loop that runs out (a model whose dispersion is not finite on the
@@ -416,7 +412,7 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
             return p
         size = abs(step)
         if lo < q < hi and 2.0 * size <= last:
-            if (curv * size + _SLOPE_RTOL) * size <= math.ulp(q):
+            if curv * size * size <= math.ulp(q):
                 return q
             last = size
         else:

@@ -922,8 +922,10 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                        math.nextafter(1.0, 0.0))
     if not absorb:
         energy = w_k + 5.0 * eps
-        branches = branch_table(params, model, energy)
-        R = invert_dispersion(branches[0], energy)
+        R = math.inf
+        if energy < math.inf:
+            branches = branch_table(params, model, energy)
+            R = invert_dispersion(branches[0], energy)
         if not R < _MC_MAX_RADIUS:
             cause = f"k = {k:g}" if w_k >= 5.0 * eps else f"epsilon = {eps:g}"
             raise ParameterError(

@@ -217,15 +217,14 @@ class TabulatedPotential(PotentialModel):
 
     Interpolation is monotone piecewise cubic (PCHIP), which preserves
     shape and is C1; queries beyond the last grid point raise instead of
-    extrapolating.  The derivative is taken by centred finite differences
-    with step max(1e-6, 1e-6 k), one sided at the grid edges, so it stays
-    honest about what the table actually pins down.
+    extrapolating.  The derivative dvhat is that cubic's own derivative,
+    so the profile and its slope are one interpolant.
 
     The cubic coefficients are built as scipy's PchipInterpolator and
     CubicHermiteSpline build them, and _pchip evaluates floats and arrays
     alike as scipy's PPoly does: the interval is the last one whose left
     knot is <= k, and the terms are summed lowest power first.  Floats,
-    arrays and scipy's interpolant therefore agree bit for bit.
+    arrays and scipy's interpolant and derivative() agree bit for bit.
     """
 
     kind = "tabulated"
@@ -283,12 +282,13 @@ class TabulatedPotential(PotentialModel):
                 f"k = {bad} beyond tabulated range [0, {self.k_max}]")
         return k
 
-    def _pchip(self, k):
-        """Interpolant at min(k, k_max) for a float or an array k >= 0.
+    def _pchip(self, k, slope=False):
+        """Interpolant at min(k, k_max) for a float or an array k >= 0, or
+        with slope its derivative, coefficients (c2, 2 c1, 3 c0).
 
-        The last interval is closed on the right at k_max; the cubic is
+        The last interval is closed on the right at k_max; the terms are
         summed lowest power first with running powers of s, as scipy's
-        evaluate_poly1 does.
+        PPoly.derivative and evaluate_poly1 do.
         """
         if type(k) is float:
             i = bisect_right(self._knots, k) - 1
@@ -305,6 +305,8 @@ class TabulatedPotential(PotentialModel):
                            self._last)
             c0, c1, c2, c3 = self._c.take(i, axis=1)
             s = k - self.grid.take(i)
+        if slope:
+            return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
         z = s * s
         return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
 
@@ -312,22 +314,7 @@ class TabulatedPotential(PotentialModel):
         return self._pchip(self._checked(k))
 
     def dvhat(self, k):
-        k = self._checked(k)
-        if type(k) is float:
-            h = 1e-6 * k
-            if h < 1e-6:
-                h = 1e-6
-            lo = k - h
-            if lo < 0.0:
-                lo = 0.0
-            hi = k + h
-            if hi > self.k_max:
-                hi = self.k_max
-        else:
-            h = np.maximum(1e-6, 1e-6 * k)
-            lo = np.maximum(k - h, 0.0)
-            hi = np.minimum(k + h, self.k_max)
-        return (self._pchip(hi) - self._pchip(lo)) / (hi - lo)
+        return self._pchip(self._checked(k), slope=True)
 
     def d2vhat0(self):
         h = min(1e-4 * self.k_max, 0.5 * float(self.grid[1]))

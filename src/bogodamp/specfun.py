@@ -198,13 +198,16 @@ def beliaev_I(theta: float) -> float:
     I -> 16 theta / 15 pin the overall normalisation; a closed form
     carrying a stray overall factor (1 - e^-theta) fails the first one.
     Within 1.5e-15 of a 40 digit integral up to theta = 0.3 and 2e-12 on
-    (0.3, 0.7); monotone increasing from 16/3 towards 16/15 theta.
+    (0.3, 0.7); monotone increasing from 16/3 towards 16/15 theta, the
+    bracket's 1/30 alone from theta = 1e7 on.
     """
     theta = _check_theta(theta)
     if theta < _I_SERIES_CUT:
         t2 = theta * theta
         return (16.0 / 3.0 + t2 * (4.0 / 45.0 + t2 * (-1.0 / 1890.0
                 + t2 * (1.0 / 170100.0 - t2 / 12474000.0))))
+    if theta >= 1e7:  # the bracket has rounded to 1/30; theta ** 5 may overflow
+        return 32.0 * theta * (1.0 / 30.0)
     z = math.exp(-theta)
     t3, t4, t5 = theta ** 3, theta ** 4, theta ** 5
     bracket = (1.0 / 30.0

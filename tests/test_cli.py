@@ -193,6 +193,15 @@ def test_specfun_values(capsys):
     assert float(first[4]) == landau_Gk(4, 0.5)
 
 
+def test_specfun_past_the_power_range(capsys):
+    # theta ** 5 overflows past about 4.4e61; this ended in a traceback
+    rc, out = run(capsys, "specfun", "--theta", "1e100")
+    assert rc == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[0]) == 1e100
+    assert float(row[1]) == beliaev_I(1e100)
+
+
 def test_specfun_log_grid(capsys):
     rc, out = run(capsys, "specfun", "--theta", "log:0.1:10:5")
     assert rc == 0

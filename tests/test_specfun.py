@@ -113,6 +113,21 @@ def test_I_linear_growth():
     assert abs(beliaev_I(100.0) * 15.0 / (16.0 * 100.0) - 1.0) <= 1e-3
 
 
+def test_I_past_the_power_range_is_its_linear_limit():
+    """The polylog bracket rounds to 1/30 from theta = 1e7 on, so I is
+    32 theta / 30 there in every bit; theta ** 5 used to raise
+    OverflowError past about 4.4e61."""
+    for th in np.geomspace(1e7, 4.4e61, 400).tolist():
+        z = math.exp(-th)
+        bracket = (1.0 / 30.0 + 4.0 * (zeta(3) - polylog(3, z)) / th ** 3
+                   - 24.0 * (zeta(4) + polylog(4, z)) / th ** 4
+                   + 48.0 * (zeta(5) - polylog(5, z)) / th ** 5)
+        assert bracket == 1.0 / 30.0
+        assert beliaev_I(th) == 32.0 * th * bracket
+    for th in (4.5e61, 1e100, 5e306):
+        assert beliaev_I(th) == 32.0 * th * (1.0 / 30.0)
+
+
 @pytest.mark.parametrize("theta, rel", [
     (1e-8, 2e-15), (1e-4, 2e-15), (0.05, 2e-15), (0.2, 2e-15), (0.3, 2e-15),
     (0.4, 2e-12), (0.599, 2e-12), (0.61, 2e-12)])
