@@ -11,7 +11,7 @@ one dispatch, `_rate`; a quadrature rate that did not converge, or a
 quadrature or Monte Carlo rate whose error bar is too large for its value
 on a non-empty support, is an `error` cell, never a number.
 Exit codes: 0 success, 1 usage or config error, 2 assumption validation
-failure, 3 numerical failure at one or more points.
+failure, 3 numerical failure at one or more points or an oracle |z| > 5.
 """
 from __future__ import annotations
 
@@ -42,6 +42,8 @@ ROW_KEYS = CSV_HEADER.split(",")
 METHOD_ORDER = ("quadrature", "asymptotic", "closed_form_regime", "mc")
 PROCESSES = ("beliaev", "landau")
 RATE_NAMES = PROCESSES + ("total",)
+# Largest |z| of an oracle row that exits 0; its numbers print either way.
+Z_MAX = 5.0
 
 _BOOL_KEYS = {"raw", "skip_validation"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -445,6 +447,10 @@ def _cmd_oracle(ns):
             sig = math.sqrt(err * err + ref_err * ref_err)
             Z = (est - ref) / sig if sig > 0 else 0.0
             rows.append(dict(zip(cols, (proc, est, err, ref, ref_err, Z))))
+            if not abs(Z) <= Z_MAX:
+                print(f"error in oracle ({proc}): |z| = {abs(Z):g} exceeds "
+                      f"{Z_MAX:g}", file=sys.stderr)
+                failed = True
         except (BogodampError, ArithmeticError) as exc:
             print(f"error in oracle ({proc}): {_why(exc)}", file=sys.stderr)
             rows.append(dict(zip(cols, (proc,) + ("error",) * 5)))

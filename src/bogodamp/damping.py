@@ -670,30 +670,13 @@ _MIN_NORMAL = 2.0 ** -1022
 # Gaussian v = 0.1 decay at k = 0.3 returns inf from theta = 3e-111 and
 # nan from 3e-166.
 _MC_MIN_THETA = 1e-100
-# Decay ball radii below this one have a finite volume 4 pi R^3 / 3.
-_MC_MAX_RADIUS = (sys.float_info.max / (4.0 * math.pi / 3.0)) ** (1.0 / 3.0)
+# Below this decay radius 4 pi R^3, the largest radius weight, is finite.
+_MC_MAX_RADIUS = (sys.float_info.max / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 
 def _too_hot(beta, why):
     return ParameterError(
         f"beta = {beta:g} is too small for the Monte Carlo oracle: {why}")
-
-
-def _cdf_index(cum, i_edges, u, a):
-    """np.searchsorted(cum, u, side="right") - 1 for draws u in [0, 1) of
-    the window cells a, given i_edges, that search at the cells' edges;
-    cum ascends from 0 to 1.
-
-    The answer lies in [i_edges[a], i_edges[a + 1]]: one comparison
-    settles cells that span at most one node, and draws in wider cells
-    fall back to a binary search of their own.
-    """
-    i = i_edges[a]
-    wide = np.flatnonzero(i_edges[a + 1] - i > 1)
-    i += cum[i + 1] <= u
-    if wide.size:
-        i[wide] = np.searchsorted(cum, u[wide], side="right") - 1
-    return i
 
 
 def _cell_bounds(branches, x, w):
@@ -810,6 +793,15 @@ def _third_leg(r, cth, k, absorb, q2, s):
     return q2
 
 
+def _radius(r_lo, dr, u0, a):
+    """(r, weight) of draws u0 in the window cells a: r runs linearly
+    across [r_lo[a], r_lo[a] + dr[a]], and weight, 4 pi r^2 over its
+    density, is 4 pi r^2 cells dr[a]; cells u0 - a is exact."""
+    d = dr[a]
+    r = (u0 * _WINDOW_CELLS - a) * d + r_lo[a]
+    return r, (4.0 * math.pi * _WINDOW_CELLS) * d * r * r
+
+
 def _chunk_blocks(key, m):
     """Generator(Philox(key)).random((2, m)) as blocks (s, u0, u1): columns
     s to s + len(u0) of rows 0 and 1, read into two reused block buffers.
@@ -834,54 +826,55 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     """Monte Carlo estimate of a rate from the raw momentum integral.
 
     The conservation delta is mollified by a Gaussian of width epsilon
-    (default 1e-3 omega(k)), the partner momentum is sampled uniformly in
-    a ball for decay and with a radial thermal importance density for
-    absorption.  The stream is counter based: chunks of 1e6 samples keyed
-    by (seed, chunk) define which numbers are drawn, so results are bit
-    reproducible for a given (seed, n_samples) regardless of scheduling.
-    Each chunk is evaluated in blocks of 2^16 samples, and its draws are
-    streamed per block from the counter-based stream (_chunk_blocks).  The
-    sums run over each chunk's weighed draws, gathered in draw order, so
-    the block size moves no bit.  The absorption radius is drawn by an
-    exact CDF lookup keyed on the draw's window cell (_cdf_index, equal
-    to a binary search).  Heat beyond what its thermal weights represent
-    in floats (theta = beta omega(k) below _MC_MIN_THETA, or an
-    absorption radius density without a finite total) raises
-    ParameterError naming beta before any draw, and a decay ball without
-    a finite volume raises one naming k, or epsilon where 5 epsilon
-    outweighs omega(k) in the ball's energy.  An estimate or a standard
-    error that leaves the float range raises IntegrandError, and so does
-    a standard error whose squared per-draw values underflow (var / n
-    below the smallest normal float while the estimate is not 0); the
-    block evaluator runs with numpy's float warnings off, so such a
-    value reaches the sums.  That one evaluator serves both processes,
-    which differ only in their setup: the radius draw, the draw's
-    measure, the leg order (k; r, q) or (q; r, k), the thermal weight
-    and the prefactor.
+    (default 1e-3 omega(k)), and the partner momentum is drawn as a
+    radius and a uniform cos theta.  The stream is counter based: chunks
+    of 1e6 samples keyed by (seed, chunk) define which numbers are drawn,
+    so results are bit reproducible for a given (seed, n_samples)
+    regardless of scheduling.  Each chunk is streamed in blocks of 2^16
+    samples (_chunk_blocks), and the sums run over its weighed draws in
+    draw order, so the block size moves no bit.
+
+    Both processes read the radius from one table of the radii at u0 =
+    a / 4096: R cbrt(u0) on a decay, R the radius of the ball of energy
+    omega(k) + 5 epsilon, and on an absorption the inverse of a
+    trapezoid CDF of the thermal density r^2 exp(-beta omega(r) / 2).
+    A draw in cell a = int(u0 4096) takes its radius linearly between
+    the cell's edges and weighs 4 pi r^2 4096 (r[a + 1] - r[a]), 4 pi
+    r^2 over its density (_radius).  One block evaluator serves both
+    processes, which differ only in that table, the leg order (k; r, q)
+    or (q; r, k), the thermal weight and the prefactor.
+
+    Heat beyond what its thermal weights represent in floats (theta =
+    beta omega(k) below _MC_MIN_THETA, or an absorption radius density
+    without a finite total) raises ParameterError naming beta before any
+    draw, and a decay ball without a finite volume raises one naming k,
+    or epsilon where 5 epsilon outweighs omega(k) in the ball's energy.
+    An estimate or a standard error that leaves the float range raises
+    IntegrandError, and so does a standard error whose squared per-draw
+    values underflow (var / n below the smallest normal float while the
+    estimate is not 0); the block evaluator runs with numpy's float
+    warnings off, so such a value reaches the sums.
 
     Only draws that can reach the mollified shell |z| < 39 are evaluated,
     a squeeze (Marsaglia 1977), and the cull runs in draw space, before
-    any transform.  Each of 4096 cells a = int(u0 4096) of the radius
-    draw u0 spans the radii between those of its edges; bounds of omega
-    on those radii and on 4096 cells of q^2 bound each draw's energy sum,
-    and a table built once per call from them gives each cell an
-    interval of the angle draw u1 outside which no draw reaches the
-    shell (_window).  So one lookup and one comparison per draw pick the
-    candidates, and the radius, the angle, omega, z and, on the shell,
-    the vertex run on those alone.  The bounds trust the branch table's
-    monotone pieces; cells it does not cover, past a tabulated profile's
-    range among them, bound nothing, so their draws are always evaluated
-    and raise as they did without the cull.  At the Gaussian v = 0.1,
-    k = 0.3, beta nu = 10 point (1e6 samples, seed 0) the window keeps
-    1.33 % (decay) and 7.55 % (absorption) of the draws, and 1.15 % and
-    5.61 % are weighed.  Elementwise ufuncs give the same results on a
-    subset as on the whole block, so every draw's value is the one it
-    had without the cull; only the grouping of the sums, which do not add
-    the culled draws' zeros, moves the last bits.  The cells and the
-    window work in the two draw buffers and four work rows allocated once
-    per call, so memory is about 2.6 MB of rows and the chunk's weighed
-    values (0.45 MB at 5.6 % of 1e6 draws), independent of n_samples:
-    tracemalloc peaks at 3.7 MiB (decay) and 4.0 MiB (absorption).
+    any transform.  Bounds of omega on each u0 cell's radii and on 4096
+    cells of q^2 bound each draw's energy sum, and a table built once per
+    call from them gives each cell an interval of the angle draw u1
+    outside which no draw reaches the shell (_window).  So one lookup and
+    one comparison per draw pick the candidates, and the radius, the
+    angle, omega, z and, on the shell, the vertex run on those alone.
+    The bounds trust the branch table's monotone pieces; cells it does
+    not cover, past a tabulated profile's range among them, bound
+    nothing, so their draws are always evaluated and raise as they did
+    without the cull.  At the Gaussian v = 0.1, k = 0.3, beta nu = 10
+    point (1e6 samples, seed 0) the window keeps 1.33 % (decay) and
+    7.55 % (absorption) of the draws, and 1.16 % and 5.62 % are weighed.
+    The cull moves no draw's value, only the grouping of the sums.  The
+    cells and the window work in the two draw buffers and four work rows
+    allocated once per call, so memory is about 2.6 MB of rows and the
+    chunk's weighed values (0.45 MB at 5.6 % of 1e6 draws), independent
+    of n_samples: tracemalloc peaks at 3.0 MiB (decay) and 3.9 MiB
+    (absorption).
 
     The pair comes back as computed even where the standard error is not
     well below the estimate: (0.0, 0.0) where no draw reaches the shell,
@@ -890,7 +883,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
 
     The default epsilon biases the estimate at small k: the Gaussian
     v = 0.3, nu = 1 at k = 0.05, beta = 1000 (2000003 samples, seed 7)
-    sits 20.4 (decay) and 15.5 (absorption) standard errors above the
+    sits 21.5 (decay) and 29.1 (absorption) standard errors above the
     quadrature; with epsilon = 1e-5 omega(k) both lie within 2.
 
     Returns (estimate, stderr).
@@ -916,10 +909,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     cells = np.empty(nb, dtype=np.intp)
     keep = np.empty(nb, dtype=bool)
     absorb = process == "landau"
-    # draw(u0, a) -> (radii, the index measure takes) for draws of window
-    # cells a; the window's cell edges of u0, the last one a draw below 1
-    edges = np.minimum(np.arange(_WINDOW_CELLS + 1) / _WINDOW_CELLS,
-                       math.nextafter(1.0, 0.0))
+    # the window's cell edges of u0; each process maps them to radii
+    edges = np.arange(_WINDOW_CELLS + 1) / _WINDOW_CELLS
     if not absorb:
         energy = w_k + 5.0 * eps
         R = math.inf
@@ -932,22 +923,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                 f"{cause} is too large for the Monte Carlo oracle: the decay "
                 f"ball of energy omega(k) + 5 epsilon = {energy:g} has radius "
                 f"{R:g} and no finite volume")
-        vol = 4.0 * math.pi / 3.0 * R ** 3
+        r_edges = R * np.cbrt(edges)
         pref = 1.0 / (16.0 * math.pi ** 2)
         thermal = _mc_thermal_beliaev
         legs = itemgetter(0, 1, 2)  # (k; r, q)
-
-        def draw(u, a):
-            r = np.cbrt(u, out=u)
-            r *= R
-            return r, a
-
-        def measure(a, r):
-            return vol
-        r_edges, _ = draw(edges, None)
     else:
-        t_cap = _landau_t_max(beta, w_k) + 10.0
-        u_cap = t_cap / beta
+        u_cap = (_landau_t_max(beta, w_k) + 10.0) / beta
         branches = branch_table(params, model, u_cap + w_k)
         b = branches[0]
         R = invert_dispersion(b, min(u_cap, b.omega_max))
@@ -964,21 +945,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         if not (math.isfinite(cum[-1]) and cum[-1] > 0.0):
             raise _too_hot(beta, f"the absorption radius density on [0, "
                                  f"{R:g}] has no finite total")
-        cum /= cum[-1]
-        mass = np.diff(cum)
-
-        def radius(u, i):
-            # cum[-1] == 1 > u, so i <= len(x) - 2 and mass[i] > 0
-            return (u - cum[i]) / mass[i] * dx + x[i]
-
-        def draw(u, a):
-            i = _cdf_index(cum, i_edges, u, a)
-            return radius(u, i), i
-
-        def measure(i, r):
-            return 4.0 * math.pi * r ** 2 / (mass[i] / dx)
-        i_edges = np.searchsorted(cum, edges, side="right") - 1
-        r_edges = radius(edges, i_edges)
+        r_edges = np.interp(edges, cum / cum[-1], x)
+    dr = np.diff(r_edges)
 
     nothing = np.empty(0)
 
@@ -991,10 +959,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         if not c.size:
             return nothing
         n = len(c)
-        r, i = draw(u0[c], a[c])
-        cth = u1[c]
-        cth *= 2.0
-        cth -= 1.0
+        r, wt = _radius(r_edges, dr, u0[c], a[c])
+        cth = u1[c] * 2.0 - 1.0
         q2 = _third_leg(r, cth, k, absorb, work[0, :n], work[1, :n])
         q = np.sqrt(np.maximum(q2, 0.0))
         wr = omega_bg(params, model, r)
@@ -1008,7 +974,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
         jv = _j_arrays(params, model, *legs((k, r, q)))
         delta = np.exp(-0.5 * z[sel] ** 2) / (eps * math.sqrt(2.0 * math.pi))
         T = thermal(beta, w_k, wr[sel], wq[sel])
-        return measure(i[sel], r) * jv * jv * delta * T
+        return wt[sel] * jv * jv * delta * T
 
     total = 0.0
     total_sq = 0.0

@@ -239,6 +239,21 @@ def test_oracle_single_process(capsys):
     assert lines[1].startswith("landau,")
 
 
+def test_oracle_row_beyond_z_max_exits_3(capsys):
+    # a width that makes the estimate meaningless printed z = -1.3e13 and
+    # exited 0; the row keeps its numbers
+    rc = main(["oracle", "--k", "0.3", "--beta-nu", "10", "--samples",
+               "10000", "--seed", "1", "--epsilon", "1e100", "--process",
+               "landau"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    row = captured.out.strip().split("\n")[1].split(",")
+    assert row[0] == "landau" and "error" not in row
+    assert float(row[5]) < -1e13
+    assert captured.err.startswith(
+        "error in oracle (landau): |z| = 1.29517e+13 exceeds 5")
+
+
 def test_error_rows_and_exit_3(tmp_path, capsys):
     # one grid point beyond the tabulated range fails, the rest still print
     from conftest import maxon_roton_table
@@ -332,7 +347,7 @@ def test_oracle_at_a_huge_width_is_an_error_row_naming_it(capsys):
     assert errs[0].startswith("error in oracle (beliaev): epsilon = 1e+300 is "
                               "too large for the Monte Carlo oracle")
     assert errs[1].startswith("error in oracle (landau): Monte Carlo landau "
-                              "estimate 1.117338720387889e-305 has a standard "
+                              "estimate 1.1174077161136078e-305 has a standard "
                               "error below the float range")
 
 
@@ -353,15 +368,20 @@ def test_oracle_overflowing_absorption_is_an_error_row(capsys):
 
 
 @pytest.mark.parametrize("k, samples, shown", [
-    # one weighed draw: stderr sits just below the estimate
-    ("1000", "100000", "2.7236374228950873e-40 +- 2.7236237993403056e-40"),
+    # one weighed draw: stderr sits just below the estimate.  The id keeps
+    # the case's name from its first pin, 2.72e-40 +- 2.72e-40, drawn
+    # before both processes read the radius from the window's cells
+    pytest.param("1000", "100000",
+                 "3.986281231081177e-07 +- 3.986261269569496e-07",
+                 id="1000-100000-2.7236374228950873e-40 +- "
+                    "2.7236237993403056e-40"),
     # no draw reaches the shell
     ("1e100", "10000", "0.0 +- 0.0"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "rate", "oracle"])
 def test_monte_carlo_without_enough_draws_is_an_error_row(capsys, command, k,
                                                           samples, shown):
-    # these printed 2.72e-40 +- 2.72e-40 and 0.0 +- 0.0 with exit 0, while
+    # these printed one draw's estimate and 0.0 +- 0.0 with exit 0, while
     # the decay rate at k = 1000 is about 3.35e-5
     argv = [command, "--k", k, "--beta-nu", "1", "--samples", samples]
     argv += (["--process", "beliaev"] if command == "oracle"
@@ -381,7 +401,7 @@ def test_monte_carlo_without_enough_draws_is_an_error_row(capsys, command, k,
 
 @pytest.mark.parametrize("epsilon, shown", [
     # a few draws in the mollified shell's tails
-    (None, ("2.224574334551178e-11", "2.1824189767703796e-11")),
+    (None, ("2.2246865564459404e-11", "2.182529617635876e-11")),
     # no draw at all
     ("1e-6", ("0.0", "0.0")),
 ])

@@ -7,13 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from bogodamp import damping
 from bogodamp.bogoliubov import branch_table, omega_bg
-from bogodamp.damping import (MC_MIN_SAMPLES, _cdf_index,
-                              gamma_beliaev_quadrature,
+from bogodamp.damping import (MC_MIN_SAMPLES, gamma_beliaev_quadrature,
                               gamma_landau_quadrature, mc_oracle)
 from bogodamp.errors import ExtrapolationError, IntegrandError, ParameterError
 from bogodamp.params import make_params
@@ -136,8 +133,9 @@ def test_decay_ball_energy_past_the_float_range_names_epsilon():
 
 
 def test_decay_ball_volume_bound_is_finite():
+    # 4 pi R^3, the largest weight of a decay radius draw
     R = damping._MC_MAX_RADIUS
-    assert math.isfinite(4.0 * math.pi / 3.0 * math.nextafter(R, 0.0) ** 3)
+    assert math.isfinite(4.0 * math.pi * math.nextafter(R, 0.0) ** 3)
 
 
 @pytest.mark.parametrize("beta_nu, k", [(1e60, 1e-150), (1e300, 1e-310)])
@@ -198,39 +196,38 @@ def test_mollifier_width_override():
     assert abs(a - b) <= 6.0 * berr
 
 
-# (estimate, stderr) as drawn before the blocked evaluation and the guide
-# table; 1,234,567 samples end in a partial chunk and a partial block.
-# Four rows moved by 1 ulp when the chunk sums came to run over the
-# weighed draws alone, without the culled draws' zeros.  The tabulated
-# decay rows moved by about 1e-12 of their stderr when the profile's
-# slope became its interpolant's own derivative.
+# (estimate, stderr); 1,234,567 samples end in a partial chunk and a
+# partial block.  When both processes came to draw the radius linearly
+# across the window's cells, every row moved by at most 0.073 of its
+# stderr but maxon-1.0-beliaev: on that empty support the first cell's
+# uniform radii put more draws in the mollifier's tail, and 1.16e-26
+# +- 1.16e-26 (one draw) became 6.75e-8 +- 4.61e-8.
 PINNED = [
     ("gaussian", 0.3, "beliaev", None, 1_234_567, 0,
-     (6.744991290166536e-07, 2.0364269881765758e-08)),
+     (6.751623046567905e-07, 2.0422106349502344e-08)),
     ("gaussian", 0.3, "landau", None, 1_234_567, 0,
-     (4.792677255618491e-06, 8.930414167146712e-08)),
+     (4.795560941323071e-06, 8.94502307012717e-08)),
     ("flat", 0.45, "beliaev", None, 200_000, 5,
-     (3.0188966998307887e-05, 2.251487919156238e-06)),
+     (3.0159949971998557e-05, 2.2500663659666274e-06)),
     ("flat", 0.45, "landau", None, 200_000, 5,
-     (5.152123974424812e-05, 2.217770717343996e-06)),
+     (5.1583525831362784e-05, 2.2219169191494187e-06)),
     ("dip", 0.2, "beliaev", None, 200_000, 9,
-     (2.7339261908633376e-06, 2.2522561674778193e-07)),
+     (2.7309718091892724e-06, 2.2555601145727203e-07)),
     ("dip", 0.2, "landau", None, 200_000, 9,
-     (0.00017350510623512087, 2.1145009741739392e-05)),
+     (0.00017429904354980172, 2.1138979028615607e-05)),
     ("gaussian", 0.2, "beliaev", 0.00040159721088022177, 150_000, 42,
-     (1.1242482204806392e-07, 7.948103388954767e-09)),
+     (1.1184879100043038e-07, 7.673862344836303e-09)),
     ("gaussian", 0.2, "landau", 0.00040159721088022177, 150_000, 42,
-     (3.3553414522434414e-06, 1.3261320516848804e-07)),
-    # the maxon rows were drawn before the two processes shared one block
-    # evaluator; at k = 1 almost no decay draw reaches the shell
+     (3.3457356383165797e-06, 1.3203426900857653e-07)),
+    # at k = 1 almost no decay draw reaches the shell
     ("maxon", 0.4, "beliaev", None, 200_000, 13,
-     (4.999591867380098e-05, 3.722451014236871e-06)),
+     (4.9766315821455906e-05, 3.712934939394332e-06)),
     ("maxon", 0.4, "landau", None, 200_000, 13,
-     (0.0001857820696732471, 2.828401076726605e-05)),
+     (0.0001850959620505803, 2.8289335369762305e-05)),
     ("maxon", 1.0, "beliaev", None, 200_000, 13,
-     (1.1641693969154339e-26, 1.1606638501267733e-26)),
+     (6.751305894563657e-08, 4.610228116316655e-08)),
     ("maxon", 1.0, "landau", None, 200_000, 13,
-     (8.286756778750231e-05, 1.679719969647528e-05)),
+     (8.304387052504197e-05, 1.6797832091340368e-05)),
 ]
 
 
@@ -266,7 +263,7 @@ def test_draws_past_the_table_raise_as_before():
     params = make_params(1.0, 10.0, SHORT.vhat0)
     with pytest.raises(ExtrapolationError) as err:
         mc_oracle(params, SHORT, 1.2, "beliaev", n_samples=20000, seed=0)
-    assert str(err.value) == ("k = 2.391072890320565 beyond tabulated "
+    assert str(err.value) == ("k = 2.391072889600923 beyond tabulated "
                               "range [0, 2.0]")
 
 
@@ -386,8 +383,12 @@ def test_cell_bounds_hold_across_stationary_points(cells):
     assert np.all(lo[:-1, None] <= w) and np.all(w <= hi[:-1, None])
 
 
-@pytest.mark.parametrize("process,elements", [("beliaev", 62901),
-                                              ("landau", 280618)])
+# the ids keep the cases' names from their first pin, the counts before
+# both processes read the radius from the window's cells and a few more
+# draws came to lie on the shell
+@pytest.mark.parametrize("process,elements", [
+    pytest.param("beliaev", 62987, id="beliaev-62901"),
+    pytest.param("landau", 280710, id="landau-280618")])
 def test_oracle_profile_element_budget(process, elements):
     """Array profile elements of one call at the workload point (Gaussian
     v = 0.1, k = 0.3, beta nu = 10, 1e6 samples): the branch scan, the
@@ -461,89 +462,31 @@ def test_streamed_rows_equal_the_whole_draw(m):
     assert np.array_equal(np.concatenate(rows1), want[1])
 
 
-def _edge_draws(cum, cells, picks):
-    """u in [0, 1): the ends, cell edges j/G and nodes, each also one ulp
-    below, plus arbitrary draws."""
-    top = np.nextafter(1.0, 0.0)
-    out = [0.0, top]
-    for kind, j, x in picks:
-        if kind == "edge":
-            v = (j % cells) / cells
-        elif kind == "node":
-            v = float(cum[j % len(cum)])
-        else:
-            v = x
-        out += [v, float(np.nextafter(v, 0.0))]
-    return np.minimum(np.array(out), top)
-
-
-def _assert_lookup_exact(cum, i_edges, u):
-    """_cdf_index over G = len(i_edges) - 1 cells of u, G a power of two,
-    equals the binary search it stands for."""
-    a = (u * (len(i_edges) - 1)).astype(np.intp)
-    got = _cdf_index(cum, i_edges, u, a)
-    assert np.array_equal(got, np.searchsorted(cum, u, side="right") - 1)
-
-
-PICKS = st.lists(st.tuples(st.sampled_from(["edge", "node", "any"]),
-                           st.integers(0, 2 ** 16),
-                           st.floats(0.0, 1.0, exclude_max=True)),
-                 max_size=40)
-
-
-@settings(max_examples=150, deadline=None)
-@given(head=st.integers(0, 4096), power=st.sampled_from([1, 2, 6]),
-       weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
-                        max_size=300),
-       log_cells=st.sampled_from([4, 8, 12, 16]), picks=PICKS,
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_cdf_index_equals_searchsorted(head, power, weights, log_cells, picks,
-                                       seed):
-    # a steep head (density x^power over `head` nodes) crowds many nodes
-    # into the first cells; zero weights make flat runs of equal nodes
-    x = np.arange(head) / max(head, 1)
-    w = np.concatenate((x ** power, weights))
-    assume(w.size and np.sum(w) > 0)
-    cum = np.concatenate(([0.0], np.cumsum(w)))
-    cum /= cum[-1]
-    cells = 2 ** log_cells
-    # the cell edges as mc_oracle takes them, the last one below 1
-    edges = np.minimum(np.arange(cells + 1) / cells, np.nextafter(1.0, 0.0))
-    i_edges = np.searchsorted(cum, edges, side="right") - 1
-    u = np.concatenate((_edge_draws(cum, cells, picks),
-                        np.random.default_rng(seed).random(500)))
-    _assert_lookup_exact(cum, i_edges, u)
-
-
-@pytest.fixture(scope="module")
-def oracle_cdfs():
-    """(cum, i_edges) of the Landau sampler at k/sqrt(nu) in {0.05, 0.3,
-    2} and beta*nu in {1, 10, 1e3}, each checked on the oracle's own
-    draws, whose window cells it is given."""
-    seen = []
-
-    def spy(cum, i_edges, u, a):
-        assert len(i_edges) == damping._WINDOW_CELLS + 1
-        assert np.array_equal(a, (u * damping._WINDOW_CELLS).astype(np.intp))
-        _assert_lookup_exact(cum, i_edges, u)
-        seen.append((cum, i_edges))
-        return _cdf_index(cum, i_edges, u, a)
-
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+def test_radius_draw_is_unbiased(process):
+    """On each process's radius table at the workload point (Gaussian
+    v = 0.1, k = 0.3, beta nu = 10), the weighed radius draws over 64
+    midpoints of u0 per cell average g(r) = exp(-r^2 / s^2), s = R / 8,
+    to its integral 4 pi r^2 g(r) dr = pi^(3/2) s^3; every radius lies
+    in its own cell."""
+    radius = damping._radius
     tables = []
-    with mock.patch.object(damping, "_cdf_index", spy):
-        for bn in (1.0, 10.0, 1e3):
-            params, model = gaussian_setup(beta_nu=bn)
-            for k in (0.05, 0.3, 2.0):
-                seen.clear()
-                mc_oracle(params, model, k, "landau",
-                          n_samples=MC_MIN_SAMPLES, seed=0)
-                tables.append(seen[-1])
-    return tables
 
+    def spy(r_lo, dr, u0, a):
+        tables.append((r_lo, dr))
+        return radius(r_lo, dr, u0, a)
 
-@settings(max_examples=60, deadline=None)
-@given(which=st.integers(0, 8), picks=PICKS)
-def test_cdf_index_on_oracle_cdfs(oracle_cdfs, which, picks):
-    cum, i_edges = oracle_cdfs[which]
-    cells = len(i_edges) - 1
-    _assert_lookup_exact(cum, i_edges, _edge_draws(cum, cells, picks))
+    params, model = gaussian_setup(beta_nu=10.0)
+    with mock.patch.object(damping, "_radius", spy):
+        mc_oracle(params, model, 0.3, process, n_samples=MC_MIN_SAMPLES,
+                  seed=0)
+    r_lo, dr = tables[0]
+    cells = damping._WINDOW_CELLS
+    assert len(r_lo) == cells + 1 and r_lo[0] == 0.0
+    u0 = (np.arange(64 * cells) + 0.5) / (64 * cells)
+    a = (u0 * cells).astype(np.intp)
+    r, weight = radius(r_lo, dr, u0, a)
+    assert np.all((r_lo[a] <= r) & (r <= r_lo[a + 1]))
+    s = r_lo[-1] / 8.0
+    got = np.mean(weight * np.exp(-np.square(r / s)))
+    assert got == pytest.approx(math.pi ** 1.5 * s ** 3, rel=1e-4)
