@@ -655,8 +655,9 @@ def _mc_thermal_landau(beta, wk, wp, wq):
 MC_MIN_SAMPLES = 10_000
 # Samples per counter-keyed stream chunk: fixes which numbers are drawn.
 _MC_CHUNK = 1_000_000
-# Samples evaluated at once: keeps temporaries in cache, draws nothing.
-_MC_BLOCK = 1 << 16
+# Window draws evaluated at once: keeps temporaries in cache, draws
+# nothing.
+_MC_BLOCK = 1 << 13
 # Cells of u0, the radius draw, in the draw-space window; a power of two,
 # so int(u0 * cells) is exact.
 _WINDOW_CELLS = 4096
@@ -701,11 +702,11 @@ def _cell_bounds(branches, x, w):
 
 
 def _window(params, model, branches, r, q_top, w_k, width, k, absorb):
-    """(mid, half2): per cell a of u0, a u1 interval [mid - half, mid +
-    half] outside which no draw has |S - w_k| < width, with half2 =
-    half^2, or -1 for a cell none of whose draws has; S = omega(q) +
-    omega(r), or omega(q) - omega(r) on an absorption, and r holds the
-    radii of the _WINDOW_CELLS + 1 cell edges of u0.
+    """(lo, hi): per cell a of u0, a u1 interval [lo[a], hi[a]] in [0, 1]
+    outside which no draw has |S - w_k| < width, with lo[a] = hi[a] for a
+    cell none of whose draws has; S = omega(q) + omega(r), or omega(q) -
+    omega(r) on an absorption, and r holds the radii of the _WINDOW_CELLS
+    + 1 cell edges of u0.
 
     Bounds of omega on each cell's radii [r[a], r[a + 1]] and on
     _Q2_CELLS cells of q^2 in [0, q_top^2] give two checks (rt, qt, lim)
@@ -719,7 +720,7 @@ def _window(params, model, branches, r, q_top, w_k, width, k, absorb):
     theta + 1) / 2, widened by 1e-9.  The q^2 interval is open above
     where the entry past the q^2 table can pass and the cell's largest
     q^2, (r + k)^2, reaches it.  A cell whose radius reaches 0, or whose
-    interval is not a number, gets every u1.  Run under np.errstate:
+    interval is not a number, gets [0, 1].  Run under np.errstate:
     extreme inputs overflow here harmlessly.
     """
     r_lo, r_hi = _cell_bounds(branches, r, _omega_scalar(params, model, r))
@@ -758,23 +759,29 @@ def _window(params, model, branches, r, q_top, w_k, width, k, absorb):
     lo = 0.5 * (n_lo / np.where(n_lo < 0, d_lo, d_hi) + 1.0) - 1e-9
     hi = 0.5 * (n_hi / np.where(n_hi < 0, d_hi, d_lo) + 1.0) + 1e-9
     every = ~(d_lo >= _MIN_NORMAL) | np.isnan(lo) | np.isnan(hi)
-    # u1 lies in [0, 1): bounds beyond [-1, 2] cut nothing more
-    lo = np.where(every, -1.0, np.maximum(lo, -1.0))
-    hi = np.where(every, 2.0, np.minimum(hi, 2.0))
-    half = np.where((j_lo == m) & ~is_open, -1.0, 0.5 * (hi - lo))
-    return 0.5 * (lo + hi), np.where(half < 0.0, -1.0, half * half)
+    lo = np.where(every, 0.0, np.clip(lo, 0.0, 1.0))
+    hi = np.where(every, 1.0, np.clip(hi, 0.0, 1.0))
+    return lo, np.where((j_lo == m) & ~is_open, lo, np.maximum(hi, lo))
 
 
-def _window_draws(window, u0, u1, ia, f, g, keep):
-    """Indices of the draws whose u1 lies in the window of their u0 cell;
-    ia (intp), f, g (float) and keep (bool) are work rows of their
-    length."""
-    mid, half2 = window
-    np.multiply(u0, _WINDOW_CELLS, out=ia, casting="unsafe")
-    np.subtract(np.take(mid, ia, out=f, mode="clip"), u1, out=f)
-    np.multiply(f, f, out=f)
-    return np.flatnonzero(np.less_equal(
-        f, np.take(half2, ia, out=g, mode="clip"), out=keep))
+def _window_samples(window, key, m):
+    """Blocks (a, t, u1), in reused buffers, of the draws among m uniform
+    (u0, u1) that fall in the window (lo, hi): cell a, t = u0 cells - a
+    and lo[a] <= u1 <= hi[a].  The cells' counts come from Multinomial(m,
+    (hi - lo) / cells) on Philox(key) at counter [0, 0, 0, 1], and each
+    counted draw, cell by cell, from the rows of _chunk_blocks(key, count)
+    at counter 0, 2^192 Philox steps short of the counts' stream."""
+    lo, hi = window
+    width = hi - lo
+    counts = np.random.Generator(np.random.Philox(
+        key=key, counter=[0, 0, 0, 1])).multinomial(
+            m, np.append(width / _WINDOW_CELLS, 0.0))
+    cells = np.repeat(np.arange(_WINDOW_CELLS), counts[:-1])
+    for s, t, u1 in _chunk_blocks(key, len(cells)):
+        a = cells[s:s + len(t)]
+        u1 *= width[a]
+        u1 += lo[a]
+        yield a, t, u1
 
 
 def _third_leg(r, cth, k, absorb, q2, s):
@@ -793,12 +800,12 @@ def _third_leg(r, cth, k, absorb, q2, s):
     return q2
 
 
-def _radius(r_lo, dr, u0, a):
-    """(r, weight) of draws u0 in the window cells a: r runs linearly
-    across [r_lo[a], r_lo[a] + dr[a]], and weight, 4 pi r^2 over its
-    density, is 4 pi r^2 cells dr[a]; cells u0 - a is exact."""
+def _radius(r_lo, dr, t, a):
+    """(r, weight) of draws at positions t in [0, 1) of the window cells
+    a: r = r_lo[a] + t dr[a], and weight, 4 pi r^2 over its density, is
+    4 pi r^2 cells dr[a]."""
     d = dr[a]
-    r = (u0 * _WINDOW_CELLS - a) * d + r_lo[a]
+    r = t * d + r_lo[a]
     return r, (4.0 * math.pi * _WINDOW_CELLS) * d * r * r
 
 
@@ -830,9 +837,9 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     radius and a uniform cos theta.  The stream is counter based: chunks
     of 1e6 samples keyed by (seed, chunk) define which numbers are drawn,
     so results are bit reproducible for a given (seed, n_samples)
-    regardless of scheduling.  Each chunk is streamed in blocks of 2^16
-    samples (_chunk_blocks), and the sums run over its weighed draws in
-    draw order, so the block size moves no bit.
+    regardless of scheduling.  Each chunk is evaluated in blocks of at
+    most 2^13 draws, and the sums run over its weighed draws in draw
+    order, so the block size moves no bit.
 
     Both processes read the radius from one table of the radii at u0 =
     a / 4096: R cbrt(u0) on a decay, R the radius of the ball of energy
@@ -847,34 +854,32 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     Heat beyond what its thermal weights represent in floats (theta =
     beta omega(k) below _MC_MIN_THETA, or an absorption radius density
     without a finite total) raises ParameterError naming beta before any
-    draw, and a decay ball without a finite volume raises one naming k,
-    or epsilon where 5 epsilon outweighs omega(k) in the ball's energy.
-    An estimate or a standard error that leaves the float range raises
-    IntegrandError, and so does a standard error whose squared per-draw
-    values underflow (var / n below the smallest normal float while the
-    estimate is not 0); the block evaluator runs with numpy's float
-    warnings off, so such a value reaches the sums.
+    draw, and a decay ball whose largest radius weight, 4 pi R^3, is not
+    finite raises one naming k, or epsilon where 5 epsilon outweighs
+    omega(k) in the ball's energy.  An estimate or a standard error that
+    leaves the float range raises IntegrandError, and so does a standard
+    error whose squared per-draw values underflow (var / n below the
+    smallest normal float while the estimate is not 0); the block
+    evaluator runs with numpy's float warnings off, so such a value
+    reaches the sums.
 
-    Only draws that can reach the mollified shell |z| < 39 are evaluated,
-    a squeeze (Marsaglia 1977), and the cull runs in draw space, before
-    any transform.  Bounds of omega on each u0 cell's radii and on 4096
-    cells of q^2 bound each draw's energy sum, and a table built once per
-    call from them gives each cell an interval of the angle draw u1
-    outside which no draw reaches the shell (_window).  So one lookup and
-    one comparison per draw pick the candidates, and the radius, the
-    angle, omega, z and, on the shell, the vertex run on those alone.
-    The bounds trust the branch table's monotone pieces; cells it does
-    not cover, past a tabulated profile's range among them, bound
-    nothing, so their draws are always evaluated and raise as they did
-    without the cull.  At the Gaussian v = 0.1, k = 0.3, beta nu = 10
-    point (1e6 samples, seed 0) the window keeps 1.33 % (decay) and
-    7.55 % (absorption) of the draws, and 1.16 % and 5.62 % are weighed.
-    The cull moves no draw's value, only the grouping of the sums.  The
-    cells and the window work in the two draw buffers and four work rows
-    allocated once per call, so memory is about 2.6 MB of rows and the
-    chunk's weighed values (0.45 MB at 5.6 % of 1e6 draws), independent
-    of n_samples: tracemalloc peaks at 3.0 MiB (decay) and 3.9 MiB
-    (absorption).
+    Only draws that can reach the mollified shell |z| < 39 are drawn.
+    Bounds of omega on each u0 cell's radii and on 4096 cells of q^2
+    bound each draw's energy sum, and a table built once per call from
+    them gives each cell a u1 interval [lo, hi] outside which no draw
+    reaches the shell (_window).  Drawing n uniform (u0, u1) and keeping
+    those in these rectangles is drawing the cells' counts from
+    Multinomial(n, (hi - lo) / 4096) and each counted draw uniformly in
+    its rectangle (_window_samples), so the estimate is the same sum over
+    n samples at a cost that follows the window's area, not n.  The
+    bounds trust the branch table's monotone pieces; cells it does not
+    cover, past a tabulated profile's range among them, bound nothing,
+    so all their draws are drawn, and raise.  At the Gaussian v = 0.1,
+    k = 0.3, beta nu = 10 point the window covers 1.33 % (decay) and
+    7.56 % (absorption) of draw space, and 1.16 % and 5.62 % of the
+    draws are weighed.  Memory is the chunk's cell list and weighed
+    values and the block rows, independent of n_samples: at 1e6 samples
+    tracemalloc peaks at 1.9 MiB (decay) and 2.6 MiB (absorption).
 
     The pair comes back as computed even where the standard error is not
     well below the estimate: (0.0, 0.0) where no draw reaches the shell,
@@ -883,8 +888,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
 
     The default epsilon biases the estimate at small k: the Gaussian
     v = 0.3, nu = 1 at k = 0.05, beta = 1000 (2000003 samples, seed 7)
-    sits 21.5 (decay) and 29.1 (absorption) standard errors above the
-    quadrature; with epsilon = 1e-5 omega(k) both lie within 2.
+    sits 19.4 (decay) and 28.6 (absorption) standard errors above the
+    quadrature; with epsilon = 1e-5 omega(k) z is -2.1 and -0.8.
 
     Returns (estimate, stderr).
     """
@@ -904,10 +909,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                              f"{_MC_MIN_THETA:g}, where its thermal weights "
                              "leave the float range")
 
-    nb = min(_MC_BLOCK, n_samples)
-    work = np.empty((2, nb))
-    cells = np.empty(nb, dtype=np.intp)
-    keep = np.empty(nb, dtype=bool)
+    work = np.empty((2, min(_MC_BLOCK, n_samples)))
     absorb = process == "landau"
     # the window's cell edges of u0; each process maps them to radii
     edges = np.arange(_WINDOW_CELLS + 1) / _WINDOW_CELLS
@@ -922,7 +924,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
             raise ParameterError(
                 f"{cause} is too large for the Monte Carlo oracle: the decay "
                 f"ball of energy omega(k) + 5 epsilon = {energy:g} has radius "
-                f"{R:g} and no finite volume")
+                f"{R:g}, where the largest radius weight, 4 pi R^3, is not "
+                "a finite float")
         r_edges = R * np.cbrt(edges)
         pref = 1.0 / (16.0 * math.pi ** 2)
         thermal = _mc_thermal_beliaev
@@ -950,17 +953,12 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
 
     nothing = np.empty(0)
 
-    def values(u0, u1):
-        """The weighed draws' values of one block, in draw order."""
-        n = len(u0)
-        a = cells[:n]
-        c = _window_draws(window, u0, u1, a, work[0, :n], work[1, :n],
-                          keep[:n])
-        if not c.size:
-            return nothing
-        n = len(c)
-        r, wt = _radius(r_edges, dr, u0[c], a[c])
-        cth = u1[c] * 2.0 - 1.0
+    def values(a, t, u1):
+        """The weighed draws' values of one block of window draws, in
+        draw order."""
+        n = len(a)
+        r, wt = _radius(r_edges, dr, t, a)
+        cth = u1 * 2.0 - 1.0
         q2 = _third_leg(r, cth, k, absorb, work[0, :n], work[1, :n])
         q = np.sqrt(np.maximum(q2, 0.0))
         wr = omega_bg(params, model, r)
@@ -988,8 +986,8 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
             m = min(_MC_CHUNK, n_samples - done)
             key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
             # the chunk's values in draw order; the sums run over the chunk
-            g = np.concatenate([values(u0, u1)
-                                for _s, u0, u1 in _chunk_blocks(key, m)])
+            g = np.concatenate([nothing, *(values(*b) for b in
+                                           _window_samples(window, key, m))])
             total += float(np.sum(g))
             total_sq += float(np.sum(np.square(g, out=g)))
             done += m

@@ -347,7 +347,7 @@ def test_oracle_at_a_huge_width_is_an_error_row_naming_it(capsys):
     assert errs[0].startswith("error in oracle (beliaev): epsilon = 1e+300 is "
                               "too large for the Monte Carlo oracle")
     assert errs[1].startswith("error in oracle (landau): Monte Carlo landau "
-                              "estimate 1.1174077161136078e-305 has a standard "
+                              "estimate 1.1780792123486586e-305 has a standard "
                               "error below the float range")
 
 
@@ -368,11 +368,10 @@ def test_oracle_overflowing_absorption_is_an_error_row(capsys):
 
 
 @pytest.mark.parametrize("k, samples, shown", [
-    # one weighed draw: stderr sits just below the estimate.  The id keeps
-    # the case's name from its first pin, 2.72e-40 +- 2.72e-40, drawn
-    # before both processes read the radius from the window's cells
+    # two weighed draws, one 16 times the other: stderr sits just below
+    # the estimate.  The id keeps the case's name from its first pin
     pytest.param("1000", "100000",
-                 "3.986281231081177e-07 +- 3.986261269569496e-07",
+                 "5.1477528830887194e-06 +- 4.847699682296073e-06",
                  id="1000-100000-2.7236374228950873e-40 +- "
                     "2.7236237993403056e-40"),
     # no draw reaches the shell
@@ -400,8 +399,8 @@ def test_monte_carlo_without_enough_draws_is_an_error_row(capsys, command, k,
 
 
 @pytest.mark.parametrize("epsilon, shown", [
-    # a few draws in the mollified shell's tails
-    (None, ("2.2246865564459404e-11", "2.182529617635876e-11")),
+    # draws in the mollified shell's tails, one of which carries it
+    (None, ("1.987107497491389e-08", "1.9869638127133907e-08")),
     # no draw at all
     ("1e-6", ("0.0", "0.0")),
 ])

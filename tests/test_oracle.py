@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import re
@@ -51,7 +50,9 @@ def test_stderr_scales_like_inverse_sqrt_n():
 def test_agrees_with_quadrature(process, fn):
     params, model = gaussian_setup(beta_nu=10.0)
     k = 0.3
-    est, err = mc_oracle(params, model, k, process, n_samples=10 ** 6,
+    # 4e6 draws, so that the 5 % bound below is 3 standard errors of the
+    # decay (relative stderr 1.7 %), as the first check's bound is
+    est, err = mc_oracle(params, model, k, process, n_samples=4 * 10 ** 6,
                          seed=1234)
     ref = fn(params, model, k).value
     assert err > 0.0
@@ -132,6 +133,22 @@ def test_decay_ball_energy_past_the_float_range_names_epsilon():
                   n_samples=10 ** 4)
 
 
+def test_decay_ball_error_names_the_radius_weight():
+    """At k = 3e102 the ball's radius passes _MC_MAX_RADIUS, 2.43e102,
+    while its volume 4 pi R^3 / 3 = 1.14e308 is finite; the error used to
+    say the ball had no finite volume."""
+    model = GaussianPotential(v=0.1, nu=1.0)
+    params = make_params(nu=1.0, beta=1.0, vhat0=model.vhat0)
+    with mock.patch.object(damping, "_chunk_blocks") as draw:
+        with pytest.raises(ParameterError, match=re.escape(
+                "k = 3e+102 is too large for the Monte Carlo oracle: the "
+                "decay ball of energy omega(k) + 5 epsilon = 4.5225e+204 "
+                "has radius 3.00749e+102, where the largest radius weight, "
+                "4 pi R^3, is not a finite float")):
+            mc_oracle(params, model, 3e102, "beliaev", n_samples=10 ** 4)
+    draw.assert_not_called()
+
+
 def test_decay_ball_volume_bound_is_finite():
     # 4 pi R^3, the largest weight of a decay radius draw
     R = damping._MC_MAX_RADIUS
@@ -197,37 +214,33 @@ def test_mollifier_width_override():
 
 
 # (estimate, stderr); 1,234,567 samples end in a partial chunk and a
-# partial block.  When both processes came to draw the radius linearly
-# across the window's cells, every row moved by at most 0.073 of its
-# stderr but maxon-1.0-beliaev: on that empty support the first cell's
-# uniform radii put more draws in the mollifier's tail, and 1.16e-26
-# +- 1.16e-26 (one draw) became 6.75e-8 +- 4.61e-8.
+# partial block.
 PINNED = [
     ("gaussian", 0.3, "beliaev", None, 1_234_567, 0,
-     (6.751623046567905e-07, 2.0422106349502344e-08)),
+     (6.687803922792241e-07, 2.0517051339505017e-08)),
     ("gaussian", 0.3, "landau", None, 1_234_567, 0,
-     (4.795560941323071e-06, 8.94502307012717e-08)),
+     (4.778450854828833e-06, 8.88184178137388e-08)),
     ("flat", 0.45, "beliaev", None, 200_000, 5,
-     (3.0159949971998557e-05, 2.2500663659666274e-06)),
+     (3.079198862220105e-05, 2.248374270420833e-06)),
     ("flat", 0.45, "landau", None, 200_000, 5,
-     (5.1583525831362784e-05, 2.2219169191494187e-06)),
+     (4.921745138377109e-05, 2.1721416689567422e-06)),
     ("dip", 0.2, "beliaev", None, 200_000, 9,
-     (2.7309718091892724e-06, 2.2555601145727203e-07)),
+     (2.1131728522798425e-06, 1.9640727353387815e-07)),
     ("dip", 0.2, "landau", None, 200_000, 9,
-     (0.00017429904354980172, 2.1138979028615607e-05)),
+     (0.00018542703896221293, 2.2110900035323678e-05)),
     ("gaussian", 0.2, "beliaev", 0.00040159721088022177, 150_000, 42,
-     (1.1184879100043038e-07, 7.673862344836303e-09)),
+     (1.299841991089119e-07, 8.413110458169223e-09)),
     ("gaussian", 0.2, "landau", 0.00040159721088022177, 150_000, 42,
-     (3.3457356383165797e-06, 1.3203426900857653e-07)),
+     (3.3701563394586705e-06, 1.3408053820604673e-07)),
     # at k = 1 almost no decay draw reaches the shell
     ("maxon", 0.4, "beliaev", None, 200_000, 13,
-     (4.9766315821455906e-05, 3.712934939394332e-06)),
+     (5.395684459494017e-05, 3.943554861558629e-06)),
     ("maxon", 0.4, "landau", None, 200_000, 13,
-     (0.0001850959620505803, 2.8289335369762305e-05)),
+     (0.0002085739954667446, 2.9615886641468036e-05)),
     ("maxon", 1.0, "beliaev", None, 200_000, 13,
-     (6.751305894563657e-08, 4.610228116316655e-08)),
+     (1.3920747662143956e-07, 9.238428720220094e-08)),
     ("maxon", 1.0, "landau", None, 200_000, 13,
-     (8.304387052504197e-05, 1.6797832091340368e-05)),
+     (5.401052828795754e-05, 1.2907303356445895e-05)),
 ]
 
 
@@ -258,12 +271,12 @@ def test_block_size_moves_no_bit(monkeypatch, block, process, want):
 
 
 def test_draws_past_the_table_raise_as_before():
-    # q reaches past k_max = 2 here; the cull evaluates every draw past
-    # the table, so the error still names the block's largest q
+    # q reaches past k_max = 2 here; the window holds every draw past the
+    # table, so the error still names the block's largest q
     params = make_params(1.0, 10.0, SHORT.vhat0)
     with pytest.raises(ExtrapolationError) as err:
         mc_oracle(params, SHORT, 1.2, "beliaev", n_samples=20000, seed=0)
-    assert str(err.value) == ("k = 2.391072889600923 beyond tabulated "
+    assert str(err.value) == ("k = 2.265169225702888 beyond tabulated "
                               "range [0, 2.0]")
 
 
@@ -282,44 +295,51 @@ GRID = [(beta_nu, k, rel, MC_MIN_SAMPLES, 3) for beta_nu in (1.0, 10.0, 1e3)
 DENSE = [(10.0, k, 1e-3, 400_000, 1) for k in (0.05, 0.3, 1.0)]
 
 
+class _Built(Exception):
+    """Stops mc_oracle once its window is built."""
+
+
+def _built_window(params, model, k, process, eps):
+    """(inputs, (lo, hi)) of the window mc_oracle builds at a point; the
+    oracle stops there, before any draw."""
+    window = damping._window
+    built = []
+
+    def spy(*args):
+        built.append((args, window(*args)))
+        raise _Built
+
+    with mock.patch.object(damping, "_window", spy), pytest.raises(_Built):
+        mc_oracle(params, model, k, process, eps, MC_MIN_SAMPLES)
+    return built[0]
+
+
 def _check_window(name, process, runs, least):
-    """With every draw of a block let through, every draw that has |z| <
-    39 or a third leg past a tabulated profile's range (where omega
-    raises) is a candidate of the window as built: the cull drops no
-    draw the oracle weighs."""
-    window_draws, third_leg = damping._window_draws, damping._third_leg
-    candidates = []
-    point = []
+    """Among independent uniform (u0, u1) draws, every draw that has |z|
+    < 39 or a third leg past a tabulated profile's range (where omega
+    raises) lies in its u0 cell's [lo, hi] of the window as built: the
+    window drops no draw the oracle weighs."""
+    cells = damping._WINDOW_CELLS
     checked = 0
-
-    def window(table, u0, *work):
-        candidates.append(window_draws(table, u0, *work))
-        return np.arange(len(u0))
-
-    def leg(r, cth, k, absorb, *work):
-        nonlocal checked
-        q2 = third_leg(r, cth, k, absorb, *work)
-        params, model, w_k, eps = point
+    for beta_nu, k, rel, n, seed in runs:
+        params, model = _shell_setup(name, beta_nu)
+        w_k = omega_bg(params, model, k)
+        eps = rel * w_k
+        (_p, _m, _b, r_edges, *_, absorb), (lo, hi) = _built_window(
+            params, model, k, process, eps)
+        u0, u1 = np.random.default_rng(seed).random((2, n))
+        a = (u0 * cells).astype(np.intp)
+        r, _ = damping._radius(r_edges, np.diff(r_edges), u0 * cells - a, a)
+        q2 = damping._third_leg(r, u1 * 2.0 - 1.0, k, absorb, np.empty(n),
+                                np.empty(n))
         q = np.sqrt(np.maximum(q2, 0.0))
         past = q > getattr(model, "k_max", np.inf)
         wr = omega_bg(params, model, r)
         wq = omega_bg(params, model, np.where(past, 0.0, q))
         z = ((wq - wr - w_k) if absorb else (w_k - wr - wq)) / eps
         must = np.flatnonzero(past | (np.abs(z) < 39.0))
-        assert np.isin(must, candidates.pop()).all()
+        assert np.all((lo[a[must]] <= u1[must]) & (u1[must] <= hi[a[must]]))
         checked += must.size
-        return q2
-
-    with mock.patch.object(damping, "_window_draws", window), \
-            mock.patch.object(damping, "_third_leg", leg):
-        for beta_nu, k, rel, n, seed in runs:
-            params, model = _shell_setup(name, beta_nu)
-            w_k = omega_bg(params, model, k)
-            point[:] = params, model, w_k, rel * w_k
-            with (pytest.raises(ExtrapolationError, match="beyond tabulated")
-                  if name == "short" else contextlib.nullcontext()):
-                mc_oracle(params, model, k, process, rel * w_k, n, seed)
-    assert not candidates
     assert checked >= least
 
 
@@ -344,25 +364,14 @@ def test_window_is_exact_on_dense_draws(name, process):
 @pytest.mark.parametrize("process,share", [("beliaev", 0.016),
                                            ("landau", 0.097)])
 def test_window_candidate_share(process, share):
-    """At the workload point (Gaussian v = 0.1, k = 0.3, beta nu = 10, 1e6
-    samples) the window lets 1.33 % (decay) and 7.55 % (absorption) of
-    the draws through, against 1.15 % and 5.61 % that are weighed; the
-    bounds allow at least 20 % more, and fail a window that opens to
-    every draw."""
-    window_draws = damping._window_draws
-    seen = [0, 0]
-
-    def window(table, u0, *work):
-        c = window_draws(table, u0, *work)
-        seen[0] += len(u0)
-        seen[1] += c.size
-        return c
-
+    """At the workload point (Gaussian v = 0.1, k = 0.3, beta nu = 10) the
+    window covers 1.335 % (decay) and 7.559 % (absorption) of draw space,
+    the share of uniform draws it keeps, against 1.15 % and 5.61 % of the
+    draws that are weighed; the bounds allow at least 20 % more, and fail
+    a window that opens to every draw."""
     params, model = gaussian_setup(beta_nu=10.0)
-    with mock.patch.object(damping, "_window_draws", window):
-        mc_oracle(params, model, 0.3, process, n_samples=10 ** 6, seed=0)
-    assert seen[0] == 10 ** 6
-    assert seen[1] < share * seen[0]
+    _args, (lo, hi) = _built_window(params, model, 0.3, process, None)
+    assert np.sum(hi - lo) / damping._WINDOW_CELLS < share
 
 
 @pytest.mark.parametrize("cells", [97, 4096])
@@ -383,12 +392,10 @@ def test_cell_bounds_hold_across_stationary_points(cells):
     assert np.all(lo[:-1, None] <= w) and np.all(w <= hi[:-1, None])
 
 
-# the ids keep the cases' names from their first pin, the counts before
-# both processes read the radius from the window's cells and a few more
-# draws came to lie on the shell
+# the ids keep the cases' names from their first pin
 @pytest.mark.parametrize("process,elements", [
-    pytest.param("beliaev", 62987, id="beliaev-62901"),
-    pytest.param("landau", 280710, id="landau-280618")])
+    pytest.param("beliaev", 63601, id="beliaev-62901"),
+    pytest.param("landau", 281792, id="landau-280618")])
 def test_oracle_profile_element_budget(process, elements):
     """Array profile elements of one call at the workload point (Gaussian
     v = 0.1, k = 0.3, beta nu = 10, 1e6 samples): the branch scan, the
@@ -403,9 +410,10 @@ def test_oracle_profile_element_budget(process, elements):
 
 @pytest.mark.parametrize("process", ["beliaev", "landau"])
 def test_oracle_memory_is_bounded(process):
-    # blocks of 2^16 samples keep the temporaries small and the draws are
-    # streamed per block (11.5 MiB decay, 13.2 MiB absorption); whole-chunk
-    # evaluation peaked at 77 MiB (beliaev) and 100 MiB (landau)
+    # blocks of at most 2^13 draws keep the temporaries small and the
+    # draws are streamed per block (1.9 MiB decay, 2.6 MiB absorption);
+    # whole-chunk evaluation peaked at 77 MiB (beliaev) and 100 MiB
+    # (landau)
     params, model = gaussian_setup(beta_nu=10.0)
     tracemalloc.start()
     try:
@@ -472,9 +480,9 @@ def test_radius_draw_is_unbiased(process):
     radius = damping._radius
     tables = []
 
-    def spy(r_lo, dr, u0, a):
+    def spy(r_lo, dr, t, a):
         tables.append((r_lo, dr))
-        return radius(r_lo, dr, u0, a)
+        return radius(r_lo, dr, t, a)
 
     params, model = gaussian_setup(beta_nu=10.0)
     with mock.patch.object(damping, "_radius", spy):
@@ -485,8 +493,88 @@ def test_radius_draw_is_unbiased(process):
     assert len(r_lo) == cells + 1 and r_lo[0] == 0.0
     u0 = (np.arange(64 * cells) + 0.5) / (64 * cells)
     a = (u0 * cells).astype(np.intp)
-    r, weight = radius(r_lo, dr, u0, a)
+    r, weight = radius(r_lo, dr, u0 * cells - a, a)
     assert np.all((r_lo[a] <= r) & (r <= r_lo[a + 1]))
     s = r_lo[-1] / 8.0
     got = np.mean(weight * np.exp(-np.square(r / s)))
     assert got == pytest.approx(math.pi ** 1.5 * s ** 3, rel=1e-4)
+
+
+_KEY = np.array([2 ** 64 - 3, 1], dtype=np.uint64)
+
+
+def _drawn(window, m):
+    """(a, t, u1) of every draw _window_samples yields, copied out of its
+    reused buffers."""
+    blocks = [[x.copy() for x in b]
+              for b in damping._window_samples(window, _KEY, m)]
+    if not blocks:
+        return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+    return tuple(np.concatenate(c) for c in zip(*blocks))
+
+
+def _synthetic_window(seed):
+    """Random [lo, hi] per cell, with some cells empty and some full."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.random((2, damping._WINDOW_CELLS)), axis=0)
+    hi[::7] = lo[::7]
+    lo[::11], hi[::11] = 0.0, 1.0
+    return lo, hi
+
+
+def test_window_draws_lie_in_their_rectangles():
+    lo, hi = _synthetic_window(1)
+    a, t, u1 = _drawn((lo, hi), 200_000)
+    assert a.size and np.all(np.diff(a) >= 0)
+    assert np.all((0.0 <= t) & (t < 1.0))
+    assert np.all((lo[a] <= u1) & (u1 <= hi[a]))
+    r_lo = np.concatenate(([0.0], np.cumsum(
+        np.random.default_rng(2).random(damping._WINDOW_CELLS))))
+    r, _ = damping._radius(r_lo, np.diff(r_lo), t, a)
+    assert np.all((r_lo[a] <= r) & (r <= r_lo[a + 1]))
+
+
+def test_window_cell_counts_follow_the_areas():
+    """Per-cell counts of 1e6 uniform draws against m (hi - lo) / cells,
+    the draws outside the window as one more cell; an empty cell gets
+    none."""
+    from scipy.stats import chisquare
+    m = 10 ** 6
+    lo, hi = _synthetic_window(3)
+    a, _t, _u1 = _drawn((lo, hi), m)
+    counts = np.bincount(a, minlength=damping._WINDOW_CELLS)
+    want = m * (hi - lo) / damping._WINDOW_CELLS
+    assert not counts[want == 0].any()
+    seen = np.append(counts[want > 0], m - a.size)
+    expected = np.append(want[want > 0], m - want.sum())
+    assert chisquare(seen, expected * (m / expected.sum())).pvalue > 1e-3
+
+
+def test_empty_window_draws_nothing():
+    lo = np.random.default_rng(4).random(damping._WINDOW_CELLS)
+    with mock.patch.object(damping, "_chunk_blocks",
+                           wraps=damping._chunk_blocks) as rows:
+        assert all(c.size == 0 for c in _drawn((lo, lo), 50_000))
+    rows.assert_called_once()
+    assert rows.call_args.args[1] == 0
+
+
+def test_full_window_is_the_plain_uniform_draw():
+    """Every cell [0, 1]: all m draws count, and t and u1 are the (2, m)
+    rows of the chunk's stream."""
+    m = 300_001
+    lo = np.zeros(damping._WINDOW_CELLS)
+    a, t, u1 = _drawn((lo, lo + 1.0), m)
+    want = np.random.Generator(np.random.Philox(key=_KEY)).random((2, m))
+    assert a.size == m
+    assert np.array_equal(t, want[0]) and np.array_equal(u1, want[1])
+
+
+@pytest.mark.parametrize("block", [4099, 2 ** 16, 2 ** 17])
+def test_window_block_size_moves_no_draw(monkeypatch, block):
+    window = _synthetic_window(5)
+    want = _drawn(window, 1_000_003)
+    assert want[0].size > 2 * 2 ** 17
+    monkeypatch.setattr(damping, "_MC_BLOCK", block)
+    got = _drawn(window, 1_000_003)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -12,8 +12,12 @@ read from the JSON object on the last line of each run's output.
 
 Writes BENCH_<W>.json in the current directory: per metric and side the per-pair values,
 their median and quartiles, the pairs each side won (a tie counts for
-neither), the change of the medians in percent of the parent's, and the
-parent's interquartile range.  Standard library only.
+neither), the change of the medians in percent of the parent's, the
+parent's interquartile range, and whether a gain may be claimed: the
+change wins at least nine tenths of the pairs and its median beats the
+parent's by more than that range.  A run whose gate reports `correct:
+false`, or a pair whose two sides fail different numbers of operations,
+exits non-zero and writes no file.  Standard library only.
 """
 from __future__ import annotations
 
@@ -68,7 +72,21 @@ def compare(name, unit, better, runs):
     out["median_change_pct"] = (100.0 * (out["change"]["median"]
                                          - par["median"]) / par["median"])
     out["parent_iqr"] = par["q3"] - par["q1"]
+    gap = sign * (par["median"] - out["change"]["median"])
+    out["claim_holds"] = (10 * out["change_wins"] >= 9 * len(runs)
+                          and gap > out["parent_iqr"])
     return out
+
+
+def gate_problems(runs):
+    """Why the pairs cannot be compared: a run its gate did not pass, or a
+    pair whose sides fail different numbers of operations."""
+    bad = [f"pair {r['pair']} {s}: correct is false" for r in runs
+           for s in SIDES if not r[s]["correct"]]
+    bad += [f"pair {r['pair']}: parent failed {r['parent']['failed']}, "
+            f"change failed {r['change']['failed']}" for r in runs
+            if r["parent"]["failed"] != r["change"]["failed"]]
+    return bad
 
 
 def main(argv=None):
@@ -89,6 +107,10 @@ def main(argv=None):
                                       ["value"], 4) for m in metrics}
             print(f"pair {i} {side}: {shown}", file=sys.stderr, flush=True)
         runs.append(pair)
+    bad = gate_problems(runs)
+    if bad:
+        raise SystemExit(f"no BENCH_{args.workload}.json written:\n"
+                         + "\n".join(bad))
     result = {
         "workload": args.workload,
         "command": f"perfbench/run.py --workload {args.workload} --seed 0 "
@@ -110,7 +132,9 @@ def main(argv=None):
         print(f"{name}: parent {m['parent']['median']:.4g} change "
               f"{m['change']['median']:.4g} {m['unit']} "
               f"({m['median_change_pct']:+.1f} %), change wins "
-              f"{m['change_wins']} of {args.pairs}")
+              f"{m['change_wins']} of {args.pairs}, parent IQR "
+              f"{m['parent_iqr']:.4g}: claim rule "
+              f"{'holds' if m['claim_holds'] else 'does not hold'}")
     return 0
 
 
