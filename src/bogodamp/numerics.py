@@ -1,26 +1,28 @@
 """Shared 1d numerics: adaptive quadrature and its tail map.
 
-integrate_adaptive is a port of QUADPACK's dqagse (Piessens, de
+integrate_adaptive is a port of QUADPACK's dqage with key 2 (Piessens, de
 Doncker-Kapenga, Ueberhuber and Kahaner, 1983): the 21 point
 Gauss-Kronrod rule dqk21 with its error rescaling, bisection of the
-interval with the largest error kept in order by dqpsrt, the roundoff
-counters, and Wynn's epsilon algorithm dqelg extrapolating the sequence
-of bisection sums.  Every operation is done in the order of the Fortran
-source, so the value and the error estimate are bit for bit those of
-scipy.integrate.quad on the same integrand.  The rule has interior nodes
-only, so integrands with removable endpoint behaviour are never evaluated
-exactly at an endpoint.
+interval with the largest error kept in order by dqpsrt, and the roundoff
+counters.  There is no extrapolation: the result is the sum over the
+final intervals.  Every operation is done in the order of the Fortran
+source.  scipy.integrate.quad runs dqagse, which bisects the same way
+until its Wynn-epsilon extrapolation starts, so the two agree bit for
+bit on integrals that dqagse finishes before extrapolating; every golden
+and README-sweep rate is one.  The rule has interior nodes only, so
+integrands with removable endpoint behaviour are never evaluated exactly
+at an endpoint.
 
 Semi-infinite integrals are folded onto (0, 1) by the rational map
 t = a + c*s/(1-s) before the adaptive pass; it handles power law and
 exponential tails alike once c roughly matches the decay scale.
 
-A result is "ok" exactly when dqagse returns ier = 0: the error estimate
-meets the requested tolerance with no subdivision budget exhausted,
-roundoff, extrapolation trouble, bad integrand behaviour or divergence
-detected.  Error estimates are conservative in the usual sense:
-trustworthy as an upper bound most of the time, and never off by much
-more than an order of magnitude on sane integrands.
+A result is "ok" exactly when dqage returns ier = 0: the summed error
+estimate meets the requested tolerance before the subdivision budget
+runs out, with no roundoff or bad integrand behaviour detected.  Error
+estimates are conservative in the usual sense: trustworthy as an upper
+bound most of the time, and never off by much more than an order of
+magnitude on sane integrands.
 """
 from __future__ import annotations
 
@@ -39,8 +41,7 @@ __all__ = [
 
 _EPMACH = sys.float_info.epsilon      # d1mach(4)
 _UFLOW = sys.float_info.min           # d1mach(1)
-_OFLOW = sys.float_info.max           # d1mach(2)
-# dqagse refuses pure relative control below this tolerance (its ier = 6)
+# dqage refuses pure relative control below this tolerance (its ier = 6)
 _MIN_REL_TOL = max(50.0 * _EPMACH, 0.5e-28)
 
 
@@ -84,14 +85,15 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
                        spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate f from a to b, b = +inf allowed.
 
-    Returns (value, error, ok).  ok is False when dqagse flags trouble:
+    Returns (value, error, ok).  ok is False when dqage flags trouble:
     the subdivision budget ran out, roundoff blocked the requested
-    tolerance, or the integrand looked singular or divergent; the value
-    and the error estimate are still the best available.
-    ok=True does not certify the value at a slowly converging endpoint
-    singularity, where the extrapolation can settle on a wrong limit
-    with a small error: 1/(x (1 - ln x)^1.5) on (0, 1) returns
-    1.955 +- 1.4e-6 against the exact 2.
+    tolerance, or the integrand looked singular at a point; the value
+    and the error estimate are still the best available.  Without
+    extrapolation a slowly converging endpoint singularity spends the
+    budget rather than settle on a wrong limit: 1/(x (1 - ln x)^1.5) on
+    (0, 1) at rel_tol 1e-6 returns ok=False.  ok=True rests on the
+    rule's own error estimate, which does not see noise in the
+    integrand's values.
     Non-finite integrand values raise IntegrandError with the location.
     A lower limit above a finite upper one integrates over (b, a) and
     flips the sign, as scipy.integrate.quad does.
@@ -123,13 +125,12 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
 
     if lo == hi:
         return QuadResult(0.0, 0.0, True)
+    sign = 1.0
     if hi < lo:
-        value, error, ier = _qagse(target, hi, lo, spec.abs_tol, spec.rel_tol,
-                                   spec.max_subdivisions)
-        return QuadResult(-value, error, ier == 0)
-    value, error, ier = _qagse(target, lo, hi, spec.abs_tol, spec.rel_tol,
-                               spec.max_subdivisions)
-    return QuadResult(value, error, ier == 0)
+        lo, hi, sign = hi, lo, -1.0
+    value, error, ier = _qage(target, lo, hi, spec.abs_tol, spec.rel_tol,
+                              spec.max_subdivisions)
+    return QuadResult(sign * value, error, ier == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,116 +265,22 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
     return maxerr, elist[maxerr], nrmax
 
 
-class _Epsilon:
-    """dqelg: Wynn's epsilon table over the sequence of bisection sums.
+def _qage(f, a, b, epsabs, epsrel, limit):
+    """dqage with the 21 point rule on a < b: (result, abserr, ier).
 
-    epstab is 1-based and holds up to 52 entries (the last two are
-    scratch); n is its current length and res3la the last three results,
-    from which the error of an extrapolated value is estimated.
-    """
-
-    _LIMEXP = 50
-
-    def __init__(self, first, second):
-        self.epstab = [0.0] * 53
-        self.epstab[1] = first
-        self.epstab[2] = second
-        self.n = 2
-        self.res3la = [0.0] * 4
-        self.nres = 0
-
-    def append(self, value):
-        """Add one sum; return (extrapolated result, its error estimate)."""
-        epstab = self.epstab
-        self.n = n = self.n + 1
-        self.nres += 1
-        abserr = _OFLOW
-        result = value
-        epstab[n + 2] = value
-        newelm = (n - 1) // 2
-        epstab[n] = _OFLOW
-        num = n
-        k1 = n
-        for i in range(1, newelm + 1):
-            k2 = k1 - 1
-            k3 = k1 - 2
-            res = epstab[k1 + 2]
-            e0 = epstab[k3]
-            e1 = epstab[k2]
-            e2 = res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPMACH
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 agree to machine accuracy: converged
-                return res, max(err2 + err3, 5.0 * _EPMACH * abs(res))
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPMACH
-            # two close elements or an irregular table: cut the table
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 = k1 - 2
-            error = err2 + abs(res - e2) + err3
-            if not error > abserr:
-                abserr = error
-                result = res
-        # shift the table
-        if n == self._LIMEXP:
-            n = 2 * (self._LIMEXP // 2) - 1
-        ib = 2 if num % 2 == 0 else 1
-        for _ in range(newelm + 1):
-            epstab[ib] = epstab[ib + 2]
-            ib += 2
-        if num != n:
-            indx = num - n + 1
-            for i in range(1, n + 1):
-                epstab[i] = epstab[indx]
-                indx += 1
-        self.n = n
-        res3la = self.res3la
-        if self.nres < 4:
-            res3la[self.nres] = result
-            abserr = _OFLOW
-        else:
-            abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                      + abs(result - res3la[1]))
-            res3la[1] = res3la[2]
-            res3la[2] = res3la[3]
-            res3la[3] = result
-        return result, max(abserr, 5.0 * _EPMACH * abs(result))
-
-
-def _qagse(f, a, b, epsabs, epsrel, limit):
-    """dqagse on a < b: (result, abserr, ier), ier = 0 on success.
-
-    The interval lists are 1-based as in the Fortran, so the control flow
-    and its index arithmetic read line by line against the source.
+    ier is 0 on success, 1 when the subdivision budget ran out, 2 when
+    roundoff blocked the requested tolerance and 3 when the integrand
+    looked singular at a point of the range.  The interval lists are
+    1-based as in the Fortran, so the control flow and its index
+    arithmetic read line by line against the source.
     """
     # first approximation to the integral
-    ierro = 0
     result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    ier = 0
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, ier
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 50.0 * _EPMACH * defabs and abserr > errbnd:
+        return result, abserr, 2
+    if (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, 0
 
     # entry 0 is unused; each bisection appends entry `last`
     alist = [0.0, a]
@@ -381,34 +288,24 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     rlist = [0.0, result]
     elist = [0.0, abserr]
     iord = [0, 1]
-    table = None
     errmax = abserr
     maxerr = 1
     area = result
     errsum = abserr
-    abserr = _OFLOW
     nrmax = 1
-    ktmin = 0
-    extrap = False
-    noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-
-    last = 1
-    sum_lists = False           # dqagse's exit through label 115
+    iroff1 = iroff2 = 0
+    ier = 0
     for last in range(2, limit + 1):
         alist.append(0.0)
         blist.append(0.0)
         rlist.append(0.0)
         elist.append(0.0)
         iord.append(0)
-        # bisect the subinterval with the nrmax-th largest error estimate
+        # bisect the subinterval with the largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
         b2 = blist[maxerr]
-        erlast = errmax
         area1, error1, _, defab1 = _qk21(f, a1, b1)
         area2, error2, _, defab2 = _qk21(f, a2, b2)
         # improve the previous approximations and test for accuracy
@@ -417,27 +314,23 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
         errsum = errsum + erro12 - errmax
         area = area + area12 - rlist[maxerr]
         if not (defab1 == error1 or defab2 == error2):
-            if (not abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    and not erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
+            if (abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12)
+                    and erro12 >= 0.99 * errmax):
+                iroff1 += 1
             if last > 10 and erro12 > errmax:
-                iroff3 += 1
+                iroff2 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
         errbnd = max(epsabs, epsrel * abs(area))
-        # roundoff, budget and bad integrand behaviour flags
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if (max(abs(a1), abs(b2))
-                <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)):
-            ier = 4
+        if errsum > errbnd:
+            # roundoff, budget and bad integrand behaviour flags
+            if iroff1 >= 6 or iroff2 >= 20:
+                ier = 2
+            if last == limit:
+                ier = 1
+            if (max(abs(a1), abs(b2))
+                    <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)):
+                ier = 3
         # append the newly created intervals to the list
         if error2 > error1:
             alist[maxerr] = a2
@@ -455,97 +348,10 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             elist[last] = error2
         maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord,
                                        nrmax)
-        if errsum <= errbnd:
-            sum_lists = True
+        if ier != 0 or errsum <= errbnd:
             break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            table = _Epsilon(result, area)
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the interval to be bisected next the smallest one?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and erlarg > ertest:
-            # the smallest interval has the largest error: before
-            # extrapolating, bisect the larger intervals with large errors
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger_left = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger_left = True
-                    break
-                nrmax += 1
-            if larger_left:
-                continue
-        # perform extrapolation
-        reseps, abseps = table.append(area)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        # prepare bisection of the smallest interval
-        if table.n == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    if not sum_lists:
-        # set the final result and error estimate
-        if abserr == _OFLOW:
-            sum_lists = True
-        elif ier + ierro != 0:
-            if ierro == 3:
-                abserr = abserr + correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                if abserr / abs(result) > errsum / abs(area):
-                    sum_lists = True
-            elif abserr > errsum:
-                sum_lists = True
-            elif area == 0.0:
-                return result, abserr, (ier - 1 if ier > 2 else ier)
-    if sum_lists:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    elif not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        # test on divergence; IEEE division makes a zero area divergent
-        # unless result and errsum are zero too
-        if area == 0.0:
-            if result != 0.0 or errsum > 0.0:
-                ier = 6
-        elif (0.01 > result / area or result / area > 100.0
-                or errsum > abs(area)):
-            ier = 6
-    return result, abserr, (ier - 1 if ier > 2 else ier)
+    # summed left to right as in the Fortran; sum() compensates from 3.12
+    result = 0.0
+    for k in range(1, last + 1):
+        result = result + rlist[k]
+    return result, errsum, ier

@@ -568,6 +568,16 @@ def test_unconverged_rate_is_an_error_row(capsys):
     assert "converged=False" in captured.err
 
 
+def test_landau_past_the_hot_edge_is_a_number(capsys):
+    # dqagse's extrapolation left this rate negative and unconverged
+    rc, out = run(capsys, "rate", "--k", "0.3", "--beta-nu", "1e-4",
+                  "--rates", "landau")
+    assert rc == 0
+    row = out.strip().split("\n")[1].split(",")
+    cells = dict(zip(CSV_HEADER.split(","), row))
+    assert float(cells["gamma_L"]) == pytest.approx(26.48250174031301, rel=1e-9)
+
+
 def test_zero_rate_on_a_non_empty_support_is_an_error_row(capsys):
     # the vertex cancels to 0.0 at k/sqrt(nu) = 1e-8, so the quadrature
     # returns 0.0 +- 0.0 over a support that is not empty
