@@ -372,7 +372,6 @@ def _cmd_sweep(ns):
     if jobs == 1:
         results = [_point(*t) for t in tasks]
     else:
-        # pays for Monte Carlo points, whose numpy work releases the GIL
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda t: _point(*t), tasks))
     rows = [r for (r, _f) in results]

@@ -765,12 +765,12 @@ def _window(params, model, branches, r, q_top, w_k, width, k, absorb):
 
 
 def _window_samples(window, key, m):
-    """Blocks (a, t, u1), in reused buffers, of the draws among m uniform
-    (u0, u1) that fall in the window (lo, hi): cell a, t = u0 cells - a
-    and lo[a] <= u1 <= hi[a].  The cells' counts come from Multinomial(m,
-    (hi - lo) / cells) on Philox(key) at counter [0, 0, 0, 1], and each
-    counted draw, cell by cell, from the rows of _chunk_blocks(key, count)
-    at counter 0, 2^192 Philox steps short of the counts' stream."""
+    """Blocks (a, t, u1) of the draws among m uniform (u0, u1) that fall
+    in the window (lo, hi): cell a, t = u0 cells - a and lo[a] <= u1 <=
+    hi[a].  The cells' counts come from Multinomial(m, (hi - lo) / cells)
+    on Philox(key) at counter [0, 0, 0, 1], and each counted draw, cell
+    by cell, from the rows of _chunk_blocks(key, count) at counter 0,
+    2^192 Philox steps short of the counts' stream."""
     lo, hi = window
     width = hi - lo
     counts = np.random.Generator(np.random.Philox(
@@ -779,25 +779,15 @@ def _window_samples(window, key, m):
     cells = np.repeat(np.arange(_WINDOW_CELLS), counts[:-1])
     for s, t, u1 in _chunk_blocks(key, len(cells)):
         a = cells[s:s + len(t)]
-        u1 *= width[a]
-        u1 += lo[a]
-        yield a, t, u1
+        yield a, t, u1 * width[a] + lo[a]
 
 
-def _third_leg(r, cth, k, absorb, q2, s):
-    """r^2 + k^2 - 2 r k cth, + 2 r k cth on an absorption, written into q2
-    in the operation order of that expression; s is a work row.  The
-    third leg is sqrt(max(q2, 0))."""
-    np.multiply(r, r, out=q2)
-    q2 += k * k
-    np.multiply(r, 2.0, out=s)
-    s *= k
-    s *= cth
+def _third_leg(r, cth, k, absorb):
+    """q^2 = r^2 + k^2 - 2 r k cth, + 2 r k cth on an absorption.  The
+    third leg is sqrt(max(q^2, 0))."""
     if absorb:
-        q2 += s
-    else:
-        q2 -= s
-    return q2
+        return r * r + k * k + r * 2.0 * k * cth
+    return r * r + k * k - r * 2.0 * k * cth
 
 
 def _radius(r_lo, dr, t, a):
@@ -811,7 +801,7 @@ def _radius(r_lo, dr, t, a):
 
 def _chunk_blocks(key, m):
     """Generator(Philox(key)).random((2, m)) as blocks (s, u0, u1): columns
-    s to s + len(u0) of rows 0 and 1, read into two reused block buffers.
+    s to s + len(u0) of rows 0 and 1, at most _MC_BLOCK of them a block.
 
     Row 0 is the stream's first m doubles and row 1 the next m.  Philox
     is counter based and one step yields four doubles, so row 1 starts
@@ -820,11 +810,9 @@ def _chunk_blocks(key, m):
     rows0 = np.random.Generator(np.random.Philox(key=key))
     rows1 = np.random.Generator(np.random.Philox(key=key).advance(m // 4))
     rows1.random(m % 4)
-    u0 = np.empty(min(_MC_BLOCK, m))
-    u1 = np.empty_like(u0)
     for s in range(0, m, _MC_BLOCK):
         n = min(_MC_BLOCK, m - s)
-        yield s, rows0.random(out=u0[:n]), rows1.random(out=u1[:n])
+        yield s, rows0.random(n), rows1.random(n)
 
 
 def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
@@ -878,8 +866,9 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     k = 0.3, beta nu = 10 point the window covers 1.33 % (decay) and
     7.56 % (absorption) of draw space, and 1.16 % and 5.62 % of the
     draws are weighed.  Memory is the chunk's cell list and weighed
-    values and the block rows, independent of n_samples: at 1e6 samples
-    tracemalloc peaks at 1.9 MiB (decay) and 2.6 MiB (absorption).
+    values and one block's draws and temporaries, independent of
+    n_samples: at 1e6 samples tracemalloc peaks at 1.9 MiB (decay) and
+    2.6 MiB (absorption).
 
     The pair comes back as computed even where the standard error is not
     well below the estimate: (0.0, 0.0) where no draw reaches the shell,
@@ -909,7 +898,6 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
                              f"{_MC_MIN_THETA:g}, where its thermal weights "
                              "leave the float range")
 
-    work = np.empty((2, min(_MC_BLOCK, n_samples)))
     absorb = process == "landau"
     # the window's cell edges of u0; each process maps them to radii
     edges = np.arange(_WINDOW_CELLS + 1) / _WINDOW_CELLS
@@ -956,10 +944,9 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     def values(a, t, u1):
         """The weighed draws' values of one block of window draws, in
         draw order."""
-        n = len(a)
         r, wt = _radius(r_edges, dr, t, a)
         cth = u1 * 2.0 - 1.0
-        q2 = _third_leg(r, cth, k, absorb, work[0, :n], work[1, :n])
+        q2 = _third_leg(r, cth, k, absorb)
         q = np.sqrt(np.maximum(q2, 0.0))
         wr = omega_bg(params, model, r)
         wq = omega_bg(params, model, q)

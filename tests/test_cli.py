@@ -614,9 +614,10 @@ with open(os.path.join(DATA, "cli_pins.json"), "r", encoding="utf-8") as _fh:
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_pinned_output(name, tmp_path, capsys):
     """Exit code and stdout byte for byte, as the dispatch gave them
-    before rate, sweep and oracle shared one rate function."""
+    before rate, sweep and oracle shared one rate function.  {data} in an
+    argument is the tests' data directory."""
     pin = PINS[name]
-    argv = pin["argv"]
+    argv = [a.replace("{data}", DATA) for a in pin["argv"]]
     if "config" in pin:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(pin["config"])

@@ -330,8 +330,7 @@ def _check_window(name, process, runs, least):
         u0, u1 = np.random.default_rng(seed).random((2, n))
         a = (u0 * cells).astype(np.intp)
         r, _ = damping._radius(r_edges, np.diff(r_edges), u0 * cells - a, a)
-        q2 = damping._third_leg(r, u1 * 2.0 - 1.0, k, absorb, np.empty(n),
-                                np.empty(n))
+        q2 = damping._third_leg(r, u1 * 2.0 - 1.0, k, absorb)
         q = np.sqrt(np.maximum(q2, 0.0))
         past = q > getattr(model, "k_max", np.inf)
         wr = omega_bg(params, model, r)
@@ -504,10 +503,8 @@ _KEY = np.array([2 ** 64 - 3, 1], dtype=np.uint64)
 
 
 def _drawn(window, m):
-    """(a, t, u1) of every draw _window_samples yields, copied out of its
-    reused buffers."""
-    blocks = [[x.copy() for x in b]
-              for b in damping._window_samples(window, _KEY, m)]
+    """(a, t, u1) of every draw _window_samples yields."""
+    blocks = list(damping._window_samples(window, _KEY, m))
     if not blocks:
         return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
     return tuple(np.concatenate(c) for c in zip(*blocks))

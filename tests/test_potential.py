@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from bogodamp.cli import main
 from bogodamp.errors import DomainError, ExtrapolationError, ParameterError
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
@@ -291,3 +292,29 @@ def test_probe_grid_shape():
     assert grid[0] == 0.0
     assert np.all(np.diff(grid) > 0)
     assert grid.size == 64
+
+
+def test_validator_table_below_stability_threshold_fails_positivity(
+        tmp_path, capsys):
+    """A table that dips to -10 at k = 1, nu = 1, lies below the stability
+    threshold -vhat0 k^2 / (2 nu) = -0.5 there: A3 fails with a witness
+    (k, vhat, threshold) that has vhat <= threshold, and validate exits 2."""
+    grid = np.linspace(0.0, 4.0, 17)
+    values = np.exp(-0.5 * grid ** 2)
+    values[4] = -10.0                                # k = 1
+    model = TabulatedPotential(grid, values)
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    report = validate_assumptions(model, params)
+    a3 = [e for e in report.entries if e.id == "A3"][0]
+    assert not a3.passed and not report.passed
+    k, vhat, threshold = a3.witness
+    assert 0.0 < k < 2.0
+    assert vhat == model.vhat(k)
+    assert threshold == -model.vhat0 * k ** 2 / 2.0
+    assert vhat <= threshold
+    path = tmp_path / "dip.dat"
+    path.write_text("".join(f"{float(k)!r} {float(v)!r}\n"
+                            for k, v in zip(grid, values)))
+    assert main(["validate", "--potential", "tabulated", "--table",
+                 str(path)]) == 2
+    assert "A3    FAIL  witness=" in capsys.readouterr().out
