@@ -111,9 +111,10 @@ class DeltaSupport:
 
     segments are (p_lo, p_hi, roots) stretches with at least one
     conservation root, ascending; a Landau support ends at the thermal
-    cutoff.  branches is the branch table the roots were counted on, and
-    both routes evaluate on it: the energy path on a single branch, else
-    the generic scan, which resolves its roots on the same table.
+    cutoff.  branches is the branch table the roots were counted on, each
+    root owned by one branch (_owns), and both routes evaluate on it: the
+    energy path on a single branch, else the generic scan, which resolves
+    its roots on the same table by the same ownership.
     omega_k is omega(k) for every route.  Supports compare by process, k
     and segments.
     """
@@ -135,98 +136,65 @@ class DampingResult:
     converged: bool = True
 
 
+def _owns(branch, t):
+    """Whether branch owns the root of omega(q) = t, t a float or an array.
+
+    A branch owns the momenta [p_lo, p_hi): the targets [omega_min,
+    omega_max) on an increasing branch and (omega_min, omega_max] on a
+    decreasing one, so a target at a maxon or roton energy has one root.
+    """
+    if branch.increasing:
+        return (branch.omega_min <= t) & (t < branch.omega_max)
+    return (branch.omega_min < t) & (t <= branch.omega_max)
+
+
 def _resolve_roots(branches, target, q_lo, q_hi):
-    """All momenta q in [q_lo, q_hi] with omega(q) = target, one per branch."""
-    out = []
+    """All momenta q in [q_lo, q_hi] with omega(q) = target, ascending: one
+    on each branch that owns the target (_owns)."""
     slack = 1e-9 * (1.0 + q_hi)
+    out = []
     for b in branches:
-        wlo, whi = b.omega_min, b.omega_max
-        edge = 1e-12 * (1.0 + whi)
-        if target < wlo - edge or target > whi + edge:
-            continue
-        # min(max(target, wlo), whi) without the builtin calls
-        t = target
-        if t < wlo:
-            t = wlo
-        if t > whi:
-            t = whi
-        q = invert_dispersion(b, t)
-        if q_lo - slack <= q <= q_hi + slack:
-            for r in out:
-                if abs(q - r) <= 1e-9 * (1.0 + q):
-                    break
-            else:
+        if _owns(b, target):
+            q = invert_dispersion(b, target)
+            if q_lo - slack <= q <= q_hi + slack:
                 out.append(q)
-    out.sort()
     return out
 
 
-# Relative energy noise allowed for when the support scan counts roots on
-# arrays, as a share of the energies compared: the rounding of the targets
-# and the gap between the scalar and the array dispersion.  The dispersion
-# takes one operation order for floats and arrays, so that gap is the
-# Gaussian profile's alone: its math.exp and np.exp, which no operation
-# order reconciles, differ on about 4 % of arguments (100,000 uniform k in
-# (0, 4); x86-64, numpy 2.4), and omega then by at most 2 ulp.
-_COUNT_NOISE = 1e-13
+def _root_counts(params, model, branches, process, k, w_k, p):
+    """Conservation root counts at partner momenta p, a float or an array:
+    the number of roots _resolve_roots finds, counted without inverting.
 
-
-def _grid_counts(params, model, branches, process, k, w_k, ps):
-    """Conservation root counts at the momenta ps, without inverting.
-
-    Returns (counts, doubt): wherever doubt is False, counts is the number
-    of roots _resolve_roots finds at that momentum; where it is True a
-    comparison sits within its margin and the count must be taken from
-    _resolve_roots itself.
-
-    Each branch is monotone, so its root q of omega(q) = t lies in
-    [a, b] = [|p - k| - slack, p + k + slack] exactly when t lies between
-    omega(a) and omega(b), both clamped to the branch.  The inversion
-    returns q within a few ulp of q of a sign change of omega - t
-    (invert_dispersion), so within 1e-15 max(p_hi, 1), and a comparison
-    is decided once t clears omega at a -+ 4e-13 max(p_hi, 1) (b
-    likewise) by the energy noise _COUNT_NOISE (w_k + omega(p)).  The
-    momentum margin is several hundred times the inversion error; the
-    noise covers the gap between the scalar and the array dispersion,
-    which only the Gaussian profile's exp leaves (_COUNT_NOISE).
-    A target within that noise of 0, or within the 1e-12 energy slack of
-    a branch edge, is always in doubt:
-    there the tgt <= 0 rule, the clamping of the target, the 1e-9 root
-    dedup and the 1e-8 sqrt(nu) precision of the stationary points act.
+    A branch that owns the target t (_owns) is monotone, so its root lies
+    in the window [a, b] = [|p - k| - slack, p + k + slack] exactly when
+    sign t lies in [sign omega(a), sign omega(b)], with a and b clamped to
+    the branch and sign omega increasing along it.  A b below the branch
+    counts nothing: clamped to p_lo, it would count a target at the energy
+    of p_lo, which the branch owns.  A target t <= 0 has no root.
     """
-    wp = omega_bg(params, model, ps)
+    wp = _omega_scalar(params, model, p)
     t = w_k - wp if process == "beliaev" else w_k + wp
-    noise = _COUNT_NOISE * (w_k + wp)
-    q_hi = ps + k
+    q_hi = p + k
     slack = 1e-9 * (1.0 + q_hi)
-    a = np.abs(ps - k) - slack
+    a = abs(p - k) - slack
     b = q_hi + slack
-    live = t > noise
-    doubt = np.abs(t) <= noise
-    counts = np.zeros(ps.shape, dtype=int)
+    if isinstance(p, np.ndarray):
+        clip, some = np.clip, np.any
+    else:
+        def clip(x, lo, hi):
+            return min(max(x, lo), hi)
+        some = bool
+    counts = 0
     for br in branches:
-        wlo, whi = br.omega_min, br.omega_max
-        edge = 1e-12 * (1.0 + whi) + noise
-        near = (np.abs(t - wlo) <= edge) | (np.abs(t - whi) <= edge)
-        doubt |= live & near
-        inside = live & ~near & (t > wlo) & (t < whi)
-        # sign * omega increases along the branch
+        owned = _owns(br, t)
+        if not some(owned):
+            continue
         sign = 1.0 if br.increasing else -1.0
-        lo, hi = br.p_lo, br.p_hi
-        tol = 4e-13 * max(hi, 1.0)
         tg = sign * t
-
-        def g(q):
-            return sign * omega_bg(params, model, np.clip(q, lo, hi))
-
-        ge_a = (a <= lo) | (tg > g(a + tol) + noise)   # surely q >= a
-        lt_a = (a > hi) | (tg < g(a - tol) - noise)    # surely q < a
-        le_b = (b >= hi) | (tg < g(b - tol) - noise)   # surely q <= b
-        gt_b = (b < lo) | (tg > g(b + tol) + noise)    # surely q > b
-        hit = ge_a & le_b
-        counts += inside & hit
-        doubt |= inside & ~hit & ~lt_a & ~gt_b
-    return counts, doubt
+        ga = sign * _omega_scalar(params, model, clip(a, br.p_lo, br.p_hi))
+        gb = sign * _omega_scalar(params, model, clip(b, br.p_lo, br.p_hi))
+        counts = counts + (owned & (ga <= tg) & (tg <= gb) & (b >= br.p_lo))
+    return counts * (t > 0.0)
 
 
 def detect_support(params: GasParameters, model: PotentialModel, k: float,
@@ -236,23 +204,12 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     The one place a quadrature rate validates k and the process and takes
     omega(k); a non-finite omega(k) raises DomainError.  For the decay
     process the partner runs over [0, k]; for absorption it runs to the
-    thermal cutoff momentum.  Root counts are sampled on an interior grid
-    of 255 points and count transitions are refined by bisection, so
-    narrow support slivers below the grid resolution would be missed; for
-    convex dispersions the count is constant and the support is the full
-    interval.
-
-    The grid counts are taken on arrays, without inverting the dispersion
-    (_grid_counts): on each monotone branch a root lies in the allowed
-    momentum window exactly when the target energy lies between the
-    energies at the window's ends.  A grid point whose comparison falls
-    within the margin (a momentum margin of 4e-13 max(p_hi, 1) on each
-    end, far wider than the inversion's few ulp, an energy noise of
-    1e-13 (omega(k) + omega(p)), and the 1e-12 energy slack around every
-    branch edge) is recounted by inverting branch by branch, so every
-    count, and with it every segment, equals the one full inversion
-    gives.  The bisection and the per-segment counts invert as well; they
-    run only where the count changes.
+    thermal cutoff momentum, the one inversion made here.  Root counts
+    are sampled on an interior grid of 255 points (one array call of
+    _root_counts) and count transitions are refined by 48 bisection
+    steps (float calls), so narrow support slivers below the grid
+    resolution would be missed; for convex dispersions the count is
+    constant and the support is the full interval.
     """
     k = _validate_k(k)
     _check_process(process)
@@ -275,17 +232,11 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
             p_hi = last.p_hi
 
     def count(p):
-        wp = _omega_scalar(params, model, p)
-        tgt = w_k - wp if process == "beliaev" else w_k + wp
-        if tgt <= 0.0:
-            return 0
-        return len(_resolve_roots(branches, tgt, abs(p - k), p + k))
+        return _root_counts(params, model, branches, process, k, w_k, p)
 
     n = 255
     ps = np.linspace(p_lo, p_hi, n + 2)[1:-1]
-    counts, doubt = _grid_counts(params, model, branches, process, k, w_k, ps)
-    cs = [count(float(p)) if d else int(c)
-          for p, c, d in zip(ps, counts, doubt)]
+    cs = count(ps).tolist()
 
     if all(c == cs[0] for c in cs):
         if cs[0] == 0:

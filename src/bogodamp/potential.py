@@ -450,11 +450,15 @@ def validate_assumptions(model: PotentialModel, params: GasParameters,
 
     vh = np.asarray(model.vhat(probe), dtype=float)
     finite = np.all(np.isfinite(vh))
+    # k^2 overflows past k = 1e154; a zero vhat is zero density, not inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2v2 = np.where(vh == 0.0, 0.0, np.square(probe) * np.square(vh))
+        thr = -v0 * np.square(probe) / (2.0 * nu)
 
     # square integrability, via the decay of k^2 vhat^2 on the outer grid
     tail = probe >= 0.5 * probe[-1]
-    dens = np.square(probe[tail]) * np.square(vh[tail])
-    peak = float(np.max(np.square(probe) * np.square(vh)))
+    dens = k2v2[tail]
+    peak = float(np.max(k2v2))
     ok_tail = bool(finite and (dens[-1] <= 1e-2 * max(peak, 1e-300)
                                or (dens[-1] <= 0.5 * dens[0] + 1e-300
                                    and np.all(np.diff(dens) <= 1e-12 * peak))))
@@ -465,7 +469,6 @@ def validate_assumptions(model: PotentialModel, params: GasParameters,
              "can only refute"))
 
     # positivity: vhat(0) > 0 and vhat(k) above the stability threshold
-    thr = -v0 * np.square(probe) / (2.0 * nu)
     if v0 <= 0:
         entries.append(AssumptionCheck("A3", False, witness=(0.0, v0, 0.0),
                                        note="vhat(0) must be positive"))
@@ -521,8 +524,9 @@ def validate_assumptions(model: PotentialModel, params: GasParameters,
     if v0 > 0:
         pos = probe > 0
         interior = probe[pos]
-        npk = np.asarray(_np_slope(nu, v0, interior, vh[pos],
-                                   model.dvhat(interior)), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            npk = np.asarray(_np_slope(nu, v0, interior, vh[pos],
+                                       model.dvhat(interior)), dtype=float)
         signs = np.sign(npk)
         flips = int(np.sum(signs[:-1] * signs[1:] < 0))
         floor = float(npk[-1])

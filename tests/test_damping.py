@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from bogodamp import bogoliubov, damping
 from bogodamp.bogoliubov import (branch_table, first_branch,
-                                 invert_dispersion, omega_bg)
+                                 invert_dispersion, omega_bg, omega_bg_prime)
 from bogodamp.damping import (DampingResult, detect_support, flat_highT_kernel,
                               flat_highT_kernel_integral,
                               gamma_beliaev_asymptotic,
@@ -70,14 +70,58 @@ def test_support_rejects_bad_process():
         detect_support(params, model, 0.3, "unknown")
 
 
-def _scalar_support(params, model, k, process):
-    """detect_support with every grid point counted by inversion."""
-    def all_doubtful(*args):
-        n = len(args[-1])
-        return np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+def _inverted_counts(params, model, branches, process, k, w_k, p):
+    """Root counts by inverting the dispersion branch by branch
+    (_resolve_roots), at a float p or at each entry of an array p."""
+    if np.ndim(p):
+        return np.array([_inverted_counts(params, model, branches, process,
+                                          k, w_k, float(x)) for x in p])
+    wp = omega_bg(params, model, p)
+    tgt = w_k - wp if process == "beliaev" else w_k + wp
+    if tgt <= 0.0:
+        return 0
+    return len(damping._resolve_roots(branches, tgt, abs(p - k), p + k))
+
+
+def _inverted_support(params, model, k, process):
+    """detect_support with every root count taken by inversion."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(damping, "_grid_counts", all_doubtful)
+        mp.setattr(damping, "_root_counts", _inverted_counts)
         return detect_support(params, model, k, process)
+
+
+def _edge_tol(params, model, sup, p, p_hi):
+    """How far rounding can move a support edge at p between an energy
+    comparison and an inversion: 1e-15 max(p_hi, 1), plus an energy
+    rounding of 8 eps (omega(k) + omega(p)) over the slope of the energy
+    gap that decides the edge.  That gap is the target against a branch
+    end or against omega at a window end, |p - k| or p + k, clamped to
+    the branch table; the smallest of the three slopes is taken.  The
+    gap is flat where collinear decay nearly conserves energy, as on a
+    near-linear dispersion, about k^2 flat at small k."""
+    k, process, top = sup.k, sup.process, sup.branches[-1].p_hi
+
+    def d(x):
+        return omega_bg_prime(params, model, x) if x <= top else 0.0
+
+    s = 1.0 if process == "landau" else -1.0  # the target's slope is s d(p)
+    slopes = (d(p), s * d(p) - math.copysign(d(abs(p - k)), p - k),
+              s * d(p) - d(p + k))
+    gap = min(abs(x) for x in slopes)
+    energy = 8.0 * np.finfo(float).eps * (omega_bg(params, model, k)
+                                          + omega_bg(params, model, p))
+    return 1e-15 * max(p_hi, 1.0) + (energy / gap if gap else math.inf)
+
+
+def _assert_same_support(params, model, sup, ref):
+    """sup has ref's root counts, segment by segment, and its edges within
+    rounding of ref's (_edge_tol)."""
+    assert [c for (_a, _b, c) in sup.segments] == [c for (_a, _b, c) in
+                                                     ref.segments]
+    got = [x for seg in sup.segments for x in seg[:2]]
+    want = [x for seg in ref.segments for x in seg[:2]]
+    for x, e in zip(got, want):
+        assert abs(x - e) <= _edge_tol(params, model, ref, e, want[-1])
 
 
 def _outcome(fn, *args):
@@ -103,11 +147,19 @@ SUPPORT_MODELS = {
        log_x=st.floats(-8.0, 1.0), log_bn=st.floats(-3.0, 6.0),
        process=st.sampled_from(["beliaev", "landau"]))
 def test_support_array_counts_equal_scalar_counts(name, log_x, log_bn, process):
+    """The energy comparisons count the roots inversion finds: the same
+    counts segment by segment, the edges within rounding.  A grid that
+    counted on arrays behind margins, and recounted by inversion wherever
+    a comparison fell inside one, agreed with inversion bit for bit."""
     model = SUPPORT_MODELS[name]
     params = make_params(nu=1.0, beta=10.0 ** log_bn, vhat0=model.vhat0)
     k = 10.0 ** log_x
-    assert (_outcome(detect_support, params, model, k, process)
-            == _outcome(_scalar_support, params, model, k, process))
+    sup = _outcome(detect_support, params, model, k, process)
+    ref = _outcome(_inverted_support, params, model, k, process)
+    if isinstance(ref, tuple):
+        assert sup == ref
+    else:
+        _assert_same_support(params, model, sup, ref)
 
 
 @pytest.mark.parametrize("j", [64, 200])
@@ -115,7 +167,9 @@ def test_support_array_counts_equal_scalar_counts(name, log_x, log_bn, process):
 def test_support_recounts_targets_on_a_branch_edge(edge, j):
     """k is solved so that the decay target at grid point j equals the
     energy of a stationary point, the edge of two branches, or (window)
-    so that a root sits on the lower end |p - k| - slack of its window."""
+    so that a root sits on the lower end |p - k| - slack of its window.
+    The energy comparisons count that target as inversion does, on the
+    grid's arrays and on a float, and the supports agree."""
     model = maxon_roton_table()
     params = make_params(nu=1.0, beta=4.0, vhat0=model.vhat0)
     up, down, _ = branch_table(params, model, 1.0)
@@ -130,18 +184,43 @@ def test_support_recounts_targets_on_a_branch_edge(edge, j):
 
     k = brentq(gap, 2.0, 2.2 if edge == "window" else 2.4, xtol=1e-15)
     w_k = omega_bg(params, model, k)
+    branches = branch_table(params, model, w_k)
     ps = np.linspace(0.0, k, 257)[1:-1]
-    _, doubt = damping._grid_counts(params, model, branch_table(params, model, w_k),
-                                    "beliaev", k, w_k, ps)
-    assert doubt[j - 1]
-    assert (detect_support(params, model, k, "beliaev")
-            == _scalar_support(params, model, k, "beliaev"))
+    p = float(ps[j - 1])
+    want = _inverted_counts(params, model, branches, "beliaev", k, w_k, p)
+    args = (params, model, branches, "beliaev", k, w_k)
+    assert damping._root_counts(*args, ps)[j - 1] == want
+    assert damping._root_counts(*args, p) == want
+    _assert_same_support(params, model,
+                         detect_support(params, model, k, "beliaev"),
+                         _inverted_support(params, model, k, "beliaev"))
 
 
-@pytest.mark.parametrize("process, most", [("beliaev", 0), ("landau", 1)])
-def test_support_counts_roots_without_inverting(monkeypatch, process, most):
-    """On a convex profile the grid counts take no inversion; Landau
-    inverts once for the thermal cutoff momentum."""
+@pytest.mark.parametrize("edge", ["maxon", "roton"])
+def test_a_stationary_energy_has_one_root(edge):
+    """A target exactly at a maxon or roton energy is counted once: the
+    two branches meeting there own it on one side only.  Owning
+    (omega_min, omega_max] on every branch counted the maxon twice and
+    the roton not at all."""
+    model = maxon_roton_table()
+    params = make_params(nu=1.0, beta=4.0, vhat0=model.vhat0)
+    branches = branch_table(params, model, 1.0)
+    up, down, _ = branches
+    energy = up.omega_max if edge == "maxon" else down.omega_min
+    p_star = up.p_hi if edge == "maxon" else down.p_hi
+    # the window [p_star - p, p_star + p] holds only the stationary root
+    p = 0.25
+    w = energy + omega_bg(params, model, p)
+    assert w - omega_bg(params, model, p) == energy
+    args = (params, model, branches, "beliaev", p_star, w)
+    assert damping._root_counts(*args, p) == 1
+    assert damping._root_counts(*args, np.array([p])).tolist() == [1]
+    assert damping._resolve_roots(branches, energy, p_star - p,
+                                  p_star + p) == [p_star]
+
+
+def _count_inversions(monkeypatch):
+    """The energies every dispersion inversion from here on is asked for."""
     calls = []
     orig = bogoliubov.invert_dispersion
 
@@ -151,12 +230,37 @@ def test_support_counts_roots_without_inverting(monkeypatch, process, most):
 
     monkeypatch.setattr(bogoliubov, "invert_dispersion", counted)
     monkeypatch.setattr(damping, "invert_dispersion", counted)
+    return calls
+
+
+@pytest.mark.parametrize("process, most", [("beliaev", 0), ("landau", 1)])
+def test_support_counts_roots_without_inverting(monkeypatch, process, most):
+    """On a convex profile the grid counts take no inversion; Landau
+    inverts once for the thermal cutoff momentum."""
+    calls = _count_inversions(monkeypatch)
     params, model = gaussian_setup(beta_nu=50.0)
     sup = detect_support(params, model, 0.05, process)
     assert len(calls) <= most
     hi = 0.05 if process == "beliaev" else _landau_cutoff(params, model, sup)
     assert len(sup.branches) == 1
     assert sup.segments == ((0.0, hi, 1),)
+
+
+@pytest.mark.parametrize("k", [0.6, 2.26])
+@pytest.mark.parametrize("process", ["beliaev", "landau"])
+@pytest.mark.parametrize("name", sorted(SUPPORT_MODELS))
+def test_support_counts_roots_without_inverting_on_every_profile(
+        monkeypatch, name, process, k):
+    """The grid, the bisection and the per-segment counts never invert, on
+    any profile; Landau inverts once for the thermal cutoff momentum.
+    Counting by inversion wherever the count changed made 99 (decay) and
+    51 (absorption) inversions on the maxon table at k = 0.6, 626 on its
+    decay at k = 2.26."""
+    model = SUPPORT_MODELS[name]
+    params = make_params(nu=1.0, beta=4.0, vhat0=model.vhat0)
+    calls = _count_inversions(monkeypatch)
+    detect_support(params, model, k, process)
+    assert len(calls) <= (process == "landau")
 
 
 def test_support_equality_ignores_branches():
@@ -396,11 +500,11 @@ def test_generic_scan_rate_bits_are_pinned():
     assert res.abs_error == 2.5815960783825447e-15
 
 
-@pytest.mark.parametrize("rate, floats", [
-    (gamma_beliaev_quadrature, 1240),
-    (gamma_landau_quadrature, 16320),
+@pytest.mark.parametrize("rate, floats, arrays", [
+    (gamma_beliaev_quadrature, 1240, 7),
+    (gamma_landau_quadrature, 16371, 11),
 ], ids=["beliaev", "landau"])
-def test_generic_scan_profile_call_budget(rate, floats):
+def test_generic_scan_profile_call_budget(rate, floats, arrays):
     """Float vhat calls of a whole scan rate on the maxon table, k = 0.2.
 
     Each scan node evaluates the profile once at p and once at each
@@ -415,11 +519,14 @@ def test_generic_scan_profile_call_budget(rate, floats):
     and 22539.  One whose profile slope was a central difference, which
     Newton's stop rule had to allow for, made 1270 and 22538.  One whose
     quadrature extrapolated by dqagse's epsilon table made 1240 and 21452.
+    A support that counted its grid on arrays behind margins, recounting
+    by inversion inside them and in its bisection, made 1240 and 16320
+    float calls and 17 array calls on both.
     """
     m = CountingVhat(maxon_roton_table())
     res = rate(make_params(1, 4, m.vhat0), m, 0.2)
     assert res.method == "generic_scan"
-    assert m.calls == {"float": floats, "array": 17}
+    assert m.calls == {"float": floats, "array": arrays}
 
 
 class _VhatAtK(CountingVhat):

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ def test_validator_finite_cutoff_flat_passes():
     params = make_params(nu=1.0, beta=10.0, vhat0=1.0)
     report = validate_assumptions(model, params)
     assert report.passed, report.text()
+
+
+@pytest.mark.parametrize("cutoff", ["1e200", "1e300"])
+def test_validator_huge_flat_cutoff_passes_without_warnings(capsys, cutoff):
+    """The probe grid reaches 2.5 cutoff, where k^2 overflows and the
+    vhat beyond 2 cutoff is 0.  A2 once read that as inf * 0 = nan and
+    failed, with numpy overflow warnings (a traceback under -W error)."""
+    model = FlatCutoffPotential(v0=1.0, Lambda=float(cutoff))
+    params = make_params(nu=1.0, beta=10.0, vhat0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_assumptions(model, params)
+        assert report.passed, report.text()
+        assert main(["validate", "--potential", "flat", "--cutoff",
+                     cutoff]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_validator_maxon_roton_counts_sign_changes():
