@@ -9,9 +9,8 @@ the damping rates themselves by quadrature, asymptotics and Monte Carlo.
 
 from .params import GasParameters, RegimeDiagnostics, diagnostics, make_params
 from .errors import (AssumptionError, BogodampError, DomainError,
-                     ExtrapolationError, IntegrandError, NearSingularRootError,
-                     ParameterError, RangeError, SingularityError,
-                     SingularMeasureError, SupportError)
+                     ExtrapolationError, IntegrandError, ParameterError,
+                     RangeError, SingularityError, SingularMeasureError)
 from .numerics import QuadratureSpec, QuadResult, integrate_adaptive
 from .potential import (AssumptionCheck, AssumptionReport, FlatCutoffPotential,
                         GaussianPotential, PotentialModel, TabulatedPotential,
@@ -37,8 +36,7 @@ __all__ = [
     "GasParameters", "RegimeDiagnostics", "diagnostics", "make_params",
     "BogodampError", "ParameterError", "DomainError", "SingularityError",
     "RangeError", "ExtrapolationError", "SingularMeasureError",
-    "AssumptionError", "SupportError",
-    "NearSingularRootError", "IntegrandError",
+    "AssumptionError", "IntegrandError",
     "QuadratureSpec", "QuadResult", "integrate_adaptive",
     "PotentialModel", "GaussianPotential", "FlatCutoffPotential",
     "TabulatedPotential", "load_tabulated", "evaluate_vhat",

@@ -464,11 +464,12 @@ def energy_point(params: GasParameters, model: PotentialModel,
                  branch: DispersionBranch, x: float):
     """Regularized coefficients and measure factor at energy x on a branch.
 
-    Returns (s, c, c - s, nu_x, f) at the momentum p(x): c^2 - s^2 = 2x
+    Returns (s, c, c - s, nu_x, f, NP) at the momentum p(x): c^2 - s^2 = 2x
     exactly, the difference is rationalized as 2x/(c + s) so it vanishes
-    bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, and f = 1/(nu NP(p)) is
-    the measure factor of measure_factor_f.  The first four slots are in
-    the order of _coeffs, so vertices._vertex reads either tuple.
+    bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, NP is NP(p), and the
+    measure factor f = 1/(nu NP), singular where NP vanishes, is not
+    checked here.  The first four slots are in the order of _coeffs, so
+    vertices._vertex reads either tuple.
     """
     p = invert_dispersion(branch, x)
     nu = params.nu
@@ -479,13 +480,7 @@ def energy_point(params: GasParameters, model: PotentialModel,
     c = math.sqrt(E + x)
     s = abs(nu_x) / c
     npk = _np_slope(nu, v0, p, vh, model.dvhat(p))
-    # branch boundaries are located to about 1e-8 sqrt(nu) in momentum, so
-    # a query at a stationary endpoint sees a slope of that size, not zero
-    if abs(npk) < 1e-7:
-        raise SingularMeasureError(
-            f"measure factor singular at u = {x} (p = {p}): dispersion "
-            "slope vanishes")
-    return s, c, 2.0 * x / (c + s), nu_x, 1.0 / (nu * npk)
+    return s, c, 2.0 * x / (c + s), nu_x, 1.0 / (nu * npk), npk
 
 
 def measure_factor_f(params: GasParameters, model: PotentialModel,
@@ -493,7 +488,13 @@ def measure_factor_f(params: GasParameters, model: PotentialModel,
     """Jacobian f(u) = d(p^2)/d(u^2) on a branch, with f(0) = 1/nu.
 
     Equal to 1/(nu NP(p(u))).  Positive on increasing branches, negative
-    on decreasing ones; at a stationary endpoint the measure is singular
-    and the evaluation raises.
+    on decreasing ones.  Singular at a stationary endpoint, where it is
+    the package's one evaluation that raises (SingularMeasureError).
     """
-    return energy_point(params, model, branch, u)[4]
+    f, npk = energy_point(params, model, branch, u)[4:]
+    # branch boundaries are located to about 1e-8 sqrt(nu) in momentum, so
+    # a query at a stationary endpoint sees a slope of that size, not zero
+    if abs(npk) < 1e-7:
+        raise SingularMeasureError(
+            f"measure factor singular at u = {u}: dispersion slope vanishes")
+    return f

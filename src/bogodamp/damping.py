@@ -40,8 +40,7 @@ import numpy as np
 from .bogoliubov import (branch_table, energy_point, invert_dispersion,
                          omega_bg, _coeff_kernel, _coeffs, _dispersion,
                          _omega_and_slope, _omega_scalar)
-from .errors import (DomainError, IntegrandError, NearSingularRootError,
-                     ParameterError)
+from .errors import DomainError, IntegrandError, ParameterError
 from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
 from .potential import PotentialModel
@@ -238,32 +237,25 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     ps = np.linspace(p_lo, p_hi, n + 2)[1:-1]
     cs = count(ps).tolist()
 
-    if all(c == cs[0] for c in cs):
-        if cs[0] == 0:
-            segments = ()
-        else:
-            segments = ((p_lo, p_hi, cs[0]),)
-    else:
-        edges = [p_lo]
-        for i in range(len(ps) - 1):
-            if cs[i] != cs[i + 1]:
-                lo, hi = float(ps[i]), float(ps[i + 1])
-                clo = cs[i]
-                for _ in range(48):
-                    mid = 0.5 * (lo + hi)
-                    if count(mid) == clo:
-                        lo = mid
-                    else:
-                        hi = mid
-                edges.append(0.5 * (lo + hi))
-        edges.append(p_hi)
-        segments = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            cmid = count(0.5 * (a + b))
-            if cmid > 0:
-                segments.append((a, b, cmid))
-        segments = tuple(segments)
-    return DeltaSupport(process, k, segments, branches, w_k)
+    edges = [p_lo]
+    for i in range(len(ps) - 1):
+        if cs[i] != cs[i + 1]:
+            lo, hi = float(ps[i]), float(ps[i + 1])
+            clo = cs[i]
+            for _ in range(48):
+                mid = 0.5 * (lo + hi)
+                if count(mid) == clo:
+                    lo = mid
+                else:
+                    hi = mid
+            edges.append(0.5 * (lo + hi))
+    edges.append(p_hi)
+    segments = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cmid = count(0.5 * (a + b))
+        if cmid > 0:
+            segments.append((a, b, cmid))
+    return DeltaSupport(process, k, tuple(segments), branches, w_k)
 
 
 def _integrate_pieces(f, pieces, quad):
@@ -312,9 +304,9 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
 
     The conservation delta is resolved at every outer node by inverting
     the dispersion branch by branch; each root q contributes
-    q j^2 W / |omega'(q)|.  A root landing where the dispersion slope
-    vanishes makes the reduction singular and raises
-    NearSingularRootError rather than returning a polluted number.
+    q j^2 W / |omega'(q)|.  Next to a stationary point of the dispersion
+    that weight has an integrable inverse square root singularity; where
+    the quadrature cannot resolve it, the result says converged=False.
     """
     return _quadrature_rate(params, model, k, process, quad, True)
 
@@ -328,8 +320,6 @@ def _quadrature_rate(params, model, k, process, quad, scan):
     its branch; the method names the route asked for unless the scan ran.
     """
     support = detect_support(params, model, k, process)
-    if quad is None:
-        quad = QuadratureSpec()
     diag = diagnostics(params, support.k, support.omega_k)
     method = "generic_scan" if scan else "energy_quadrature"
     if not support.segments:
@@ -411,7 +401,6 @@ def _generic_scan(params, model, quad, support):
     beta = params.beta
     theta = beta * w_k
     nu, v0 = params.nu, model.vhat0
-    rt = math.sqrt(nu)
     beliaev = support.process == "beliaev"
     ck = _coeffs(params, model, k)
 
@@ -421,19 +410,12 @@ def _generic_scan(params, model, quad, support):
         vp = model.vhat(p)
         wp = _dispersion(p, nu * vp / v0)[0]
         tgt = w_k - wp if beliaev else w_k + wp
-        if tgt <= 0.0:
-            return 0.0
         cp = None
         tot = 0.0
         for q in _resolve_roots(branches, tgt, abs(p - k), p + k):
             if q <= 0.0:
                 continue
             wq, slope, vq = _omega_and_slope(params, model, q)
-            slope = abs(slope)
-            if slope < 1e-8 * rt:
-                raise NearSingularRootError(
-                    f"conservation root at q = {q} sits on a stationary "
-                    f"point of the dispersion (p = {p}, k = {k})")
             if cp is None:
                 cp = _coeff_kernel(params, model, p, vp, wp)
             cq = _coeff_kernel(params, model, q, vq, wq)
@@ -443,7 +425,7 @@ def _generic_scan(params, model, quad, support):
             else:
                 jv = _j(params, cq, cp, ck)
                 wgt = _w_landau(beta * wp, theta)
-            tot += q * jv * jv * wgt / slope
+            tot += q * jv * jv * wgt / abs(slope)
         return p * tot
 
     val, err, ok = _integrate_pieces(
@@ -522,9 +504,10 @@ def gamma_landau_asymptotic(params: GasParameters, model: PotentialModel,
 
 def select_regime(params: GasParameters, model: PotentialModel, k: float,
                   process: str) -> str:
-    """Pick the closed form regime from beta sqrt(nu) k."""
+    """Pick the closed form regime from beta sqrt(nu) k; k as for the laws."""
     _check_process(process)
-    g = params.beta * math.sqrt(params.nu) * float(k)
+    k = _closed_form_scales(params, k)[0]
+    g = params.beta * math.sqrt(params.nu) * k
     if process == "beliaev":
         return "low_T" if g >= 3.0 else "high_T"
     if g <= 0.3:

@@ -33,14 +33,6 @@ class AssumptionError(BogodampError):
     """The potential model violates an assumption the computation needs."""
 
 
-class SupportError(BogodampError):
-    """Energy conservation support could not be resolved."""
-
-
-class NearSingularRootError(SupportError):
-    """A conservation root sits where the dispersion slope vanishes."""
-
-
 class IntegrandError(BogodampError):
     """An integrand returned a non-finite value."""
 

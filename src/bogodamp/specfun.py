@@ -86,8 +86,6 @@ def zeta(n: int) -> float:
 def _zeta_any(m: int) -> float:
     if m >= 2:
         return zeta(m)
-    if m == 1:
-        raise DomainError("zeta pole at 1")
     if m % 2 == 0 and m < 0:
         return 0.0
     return _ZETA_NEGATIVE[m]

@@ -9,7 +9,7 @@ In the energy variables the 1/sqrt(k) factors cancel: regularized_F(omega;
 u, w) is the combination sqrt(8 omega u w) sqrt(nu / vhat0) * j evaluated
 on shell, finite down to zero energy, vanishing exactly on the lines
 u = omega, w = 0 and u = 0, w = omega, and symmetric under swapping u and
-w as computed.
+w as computed, and finite where the dispersion is stationary.
 
 j, F and kappa share one three-term kernel, _vertex: F is it on
 energy_point tuples, and _j is sqrt(nu vhat0) times it on _coeffs tuples,
@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .bogoliubov import _coeffs, energy_point, first_branch
-from .errors import DomainError, RangeError, SingularityError
+from .errors import DomainError, SingularityError
 from .params import GasParameters
 from .potential import PotentialModel
 
@@ -135,20 +135,15 @@ def regularized_F(params: GasParameters, model: PotentialModel,
     Finite for all energies >= 0 inside the branch range, symmetric in
     (u, w) exactly as computed, and exactly zero on the lines
     (u, w) = (omega, 0) and (0, omega).  On shell (omega = u + w) it
-    approaches 3 u w (u + w)/sqrt(nu) as the energies go to zero.  An
-    energy at a stationary top of the branch raises SingularMeasureError
-    from energy_point, which also evaluates the measure factor there.
+    approaches 3 u w (u + w)/sqrt(nu) as the energies go to zero.  It is
+    finite at a stationary top of the branch, where only the measure
+    factor is singular; an energy above the top raises RangeError.
     """
     omega, u, w = float(omega), float(u), float(w)
     for name, val in (("omega", omega), ("u", u), ("w", w)):
         if not math.isfinite(val) or val < 0:
             raise DomainError(f"{name} must be finite and >= 0, got {val}")
-    need = max(omega, u, w)
-    branch = first_branch(params, model, need)
-    if need > branch.omega_max * (1.0 + 1e-12):
-        raise RangeError(
-            f"energy {need} beyond the first branch, which tops out at "
-            f"{branch.omega_max}")
+    branch = first_branch(params, model, max(omega, u, w))
     return _vertex(energy_point(params, model, branch, omega),
                    energy_point(params, model, branch, u),
                    energy_point(params, model, branch, w))

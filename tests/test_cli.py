@@ -49,6 +49,29 @@ def test_rate_header_and_values(capsys):
     assert cells["method"] == "energy_quadrature"
 
 
+def test_vhat0_override_scales_every_rate(capsys):
+    # rates are linear in the amplitude, and the default Gaussian's
+    # vhat(0) is 0.1: --vhat0 0.2 doubles each rate column exactly
+    args = ("rate", "--k", "0.3", "--beta-nu", "10")
+    rc1, out1 = run(capsys, *args)
+    rc2, out2 = run(capsys, *args, "--vhat0", "0.2")
+    assert rc1 == rc2 == 0
+    one, two = (dict(zip(CSV_HEADER.split(","), out.strip().split("\n")[1]
+                         .split(","))) for out in (out1, out2))
+    rates = ("gamma_B", "gamma_B_err", "gamma_L", "gamma_L_err", "total")
+    for col in CSV_HEADER.split(","):
+        if col in rates:
+            assert float(two[col]) == 2.0 * float(one[col]) > 0.0
+        else:
+            assert two[col] == one[col]
+
+
+def test_jobs_below_one_is_an_error(capsys):
+    rc = main(["sweep", "--k", "0.3", "--beta-nu", "10", "--jobs", "0"])
+    assert rc == 1
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_sweep_ordering_and_method_normalization(capsys):
     # unsorted inputs come out sorted, methods follow the fixed order
     rc, out = run(capsys, "sweep", "--k", "0.3,0.1", "--beta-nu", "20,5",
@@ -271,7 +294,8 @@ def test_error_rows_and_exit_3(tmp_path, capsys):
 
 
 def test_singular_root_is_an_error_row(tmp_path, capsys):
-    # the decay scan raises NearSingularRootError at k = 2.26 on this table
+    # the decay scan does not converge at k = 2.26 on this table, where a
+    # conservation root sits on the maxon top of the dispersion
     from conftest import maxon_roton_table
     path = write_table(tmp_path / "maxon.dat", maxon_roton_table())
     rc = main(["rate", "--potential", "tabulated", "--table", path,
@@ -280,7 +304,7 @@ def test_singular_root_is_an_error_row(tmp_path, capsys):
     assert rc == 3
     row = captured.out.strip().split("\n")[1].split(",")
     assert row[3] == row[5] == row[7] == row[9] == "error"
-    assert "stationary point" in captured.err
+    assert "converged=False" in captured.err
 
 
 @pytest.mark.parametrize("argv, fault", [

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy import integrate
 
-from bogodamp.errors import ParameterError
+from bogodamp.errors import IntegrandError, ParameterError
 from bogodamp.numerics import QuadratureSpec, integrate_adaptive
 
 
@@ -38,6 +38,18 @@ def test_spec_validation():
 def test_negative_infinite_upper_limit_rejected():
     with pytest.raises(ParameterError):
         integrate_adaptive(lambda t: math.exp(-abs(t)), 0.0, -math.inf)
+
+
+def test_non_finite_lower_limit_rejected():
+    for a in (math.nan, -math.inf, math.inf):
+        with pytest.raises(ParameterError, match="lower limit"):
+            integrate_adaptive(lambda t: 1.0, a, 1.0)
+
+
+def test_non_finite_integrand_names_its_node():
+    # the first node of the 21-point rule on [0, 1] is its centre
+    with pytest.raises(IntegrandError, match=r"returned nan at x = 0\.5$"):
+        integrate_adaptive(lambda t: math.nan, 0.0, 1.0)
 
 
 def test_pure_relative_tolerance_floor():

@@ -110,6 +110,14 @@ def test_rejects_a_decay_ball_without_finite_volume_before_sampling(beta, k):
     draw.assert_not_called()
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_epsilon_must_be_positive(epsilon):
+    params, model = gaussian_setup(beta_nu=10.0)
+    with pytest.raises(ParameterError, match="epsilon must be positive"):
+        mc_oracle(params, model, 0.3, "beliaev", epsilon=epsilon,
+                  n_samples=10 ** 4)
+
+
 def test_decay_ball_too_wide_for_epsilon_names_epsilon():
     """At k = 0.3 an epsilon of 1e300 puts the ball's energy omega(k) +
     5 epsilon at 5e300; the error used to blame k."""

@@ -164,13 +164,24 @@ def test_tabulated_scalar_bounds_and_nan():
         assert math.isnan(method(np.array([math.nan]))[0])
 
 
-@pytest.mark.parametrize("name", ["maxon", "dip_profile"])
+# tables whose first end slope takes one limiter of _pchip_slopes each: the
+# three point slope has the wrong sign and becomes 0, or it overshoots
+# three times the first secant, where the secants change sign
+END_LIMITED = {
+    "end_slope_zero": ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.1, 3.0, 3.2, 3.3]),
+    "end_slope_3m0": ([0.0, 1.0, 1.2, 2.0, 3.0], [1.0, 2.0, 1.0, 0.9, 0.85]),
+}
+
+
+@pytest.mark.parametrize("name", ["maxon", "dip_profile", *END_LIMITED])
 def test_tabulated_matches_scipy_pchip(name):
     """vhat and dvhat, floats and arrays, equal in every bit what scipy's
     PchipInterpolator and its derivative() give on the same table, k =
     k_max included."""
     if name == "maxon":
         model = TABLES["maxon"]
+    elif name in END_LIMITED:
+        model = TabulatedPotential(*END_LIMITED[name])
     else:
         model = load_tabulated(os.path.join(DATA, "dip_profile.dat"))
     ref = PchipInterpolator(model.grid, model.values, extrapolate=False)

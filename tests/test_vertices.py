@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bogodamp.bogoliubov import bogo_coeffs, first_branch, omega_bg
-from bogodamp.errors import DomainError, RangeError, SingularityError
+from bogodamp.bogoliubov import (bogo_coeffs, first_branch, measure_factor_f,
+                                 omega_bg)
+from bogodamp.errors import (DomainError, RangeError, SingularityError,
+                             SingularMeasureError)
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
                                 PotentialModel)
@@ -386,6 +388,21 @@ def test_F_out_of_branch_range():
     params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
     with pytest.raises(RangeError):
         regularized_F(params, model, 2.0, 0.3, 0.2)
+
+
+def test_F_is_finite_at_a_stationary_top():
+    # at the maxon top only the measure factor is singular; F is finite,
+    # symmetric and zero on the line (omega, omega, 0) there as anywhere
+    model = maxon_roton_table()
+    params = make_params(nu=1.0, beta=10.0, vhat0=model.vhat0)
+    branch = first_branch(params, model, 2.0)
+    top = branch.omega_max
+    assert regularized_F(params, model, top, top, 0.0) == 0.0
+    F = regularized_F(params, model, top, 0.4 * top, 0.6 * top)
+    assert math.isfinite(F) and F > 0.0
+    assert regularized_F(params, model, top, 0.6 * top, 0.4 * top) == F
+    with pytest.raises(SingularMeasureError):
+        measure_factor_f(params, model, branch, top)
 
 
 def test_F_cubic_law_convergence():
