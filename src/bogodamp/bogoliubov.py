@@ -13,16 +13,21 @@ stationary points of omega and each DispersionBranch carries sampled
 energies, built once per branch into the constants of each node
 interval: the nodes bracket the root and the interval's Hermite tangents
 give a cubic first guess, which a safeguarded Newton iteration polishes
-to about an ulp, usually in one dispersion evaluation.  branch_table
-picks p_max from the requested energy alone, so a table, and every rate
-computed on it, is a pure function of its arguments.
+to about an ulp, usually in one dispersion evaluation.  That iteration
+is one root kernel, _invert: it returns the root with the profile pair
+(vhat, vhat') there, so energy_point and the momentum scan evaluate the
+profile once per momentum, and invert_dispersion is its public face.
+branch_table picks p_max from the requested energy alone, so a table,
+and every rate computed on it, is a pure function of its arguments.
 
 Each formula is written once, for floats and arrays alike, in one
-operation order: _dispersion holds omega, _omega_and_slope its slope,
-_coeff_kernel the Bogoliubov coefficients at a momentum from its profile
-value and energy (_coeffs evaluates the profile first), and
-energy_point the per-energy quantities of the energy space rate
-integrals: the regularized coefficients, nu_x and the measure factor f.
+operation order: _dispersion holds omega, _dispersion_and_slope omega
+and its slope from the pair one vhat_dvhat call gives (_omega_and_slope
+makes that call first), _coeff_kernel the Bogoliubov coefficients at a
+momentum from its profile value and energy (_coeffs evaluates the
+profile first), and energy_point the per-energy quantities of the
+energy space rate integrals: the regularized coefficients, nu_x and the
+measure factor f.
 math.sqrt and np.sqrt both round correctly, so a float and an array
 agree bit for bit wherever the model's float and array profiles do.
 """
@@ -82,22 +87,25 @@ def _omega_scalar(params, model, k):
     return _dispersion(k, params.nu * model.vhat(k) / model.vhat0)[0]
 
 
-def _omega_and_slope(params, model, k):
-    """(omega(k), omega'(k), vhat(k)) at a float or an array k >= 0, no
-    validation.
+def _dispersion_and_slope(nu, v0, k, vh, dvh):
+    """(omega(k), omega'(k)) at a float or an array k >= 0 from vh =
+    vhat(k) and dvh = vhat'(k), no validation.
 
-    One vhat and one dvhat call; the slope is nu NP(k) / sqrt(k^2/4 + nu_k),
-    with the k -> 0 limit sqrt(nu) taken exactly at k = 0.  vhat(k) and
-    omega(k) are what _coeff_kernel takes, so a caller that needs the
-    slope and the coefficients at one momentum evaluates the profile once.
+    The slope is nu NP(k) / sqrt(k^2/4 + nu_k), with the k -> 0 limit
+    sqrt(nu) taken exactly at k = 0.
     """
-    nu, v0 = params.nu, model.vhat0
-    vh = model.vhat(k)
     w, r = _dispersion(k, nu * vh / v0)
-    slope = nu * _np_slope(nu, v0, k, vh, model.dvhat(k)) / r
+    slope = nu * _np_slope(nu, v0, k, vh, dvh) / r
     if isinstance(slope, np.ndarray):
-        return w, np.where(k == 0.0, math.sqrt(nu), slope), vh
-    return w, (math.sqrt(nu) if k == 0.0 else slope), vh
+        return w, np.where(k == 0.0, math.sqrt(nu), slope)
+    return w, (math.sqrt(nu) if k == 0.0 else slope)
+
+
+def _omega_and_slope(params, model, k):
+    """(omega(k), omega'(k)) at a float or an array k >= 0, no validation:
+    one vhat_dvhat call, then _dispersion_and_slope."""
+    vh, dvh = model.vhat_dvhat(k)
+    return _dispersion_and_slope(params.nu, model.vhat0, k, vh, dvh)
 
 
 def _checked(k):
@@ -201,11 +209,15 @@ class DispersionBranch:
 
     Attributes p_lo, p_hi bound the momentum interval, omega_min,
     omega_max the energy range, and increasing records the direction.
+    The root kernel _invert reads its per-branch constants from one
+    tuple: the energies it accepts, the range widened by a clamping slack
+    of 1e-12 max(omega_max, 1) at each end, the direction's sign, nu,
+    vhat0 and the last node index.
     The cached nodes hold momentum and energy in ascending energy order,
-    as plain floats for the scalar hot path: invert_dispersion brackets
-    its root between two of them and starts Newton from their cubic
-    Hermite interpolant.  The interpolant's constants are built once per
-    branch, with numpy in invert_dispersion's operation order, and stored
+    as plain floats for the scalar hot path: the root kernel _invert
+    brackets its root between two of them and starts Newton from their
+    cubic Hermite interpolant.  The interpolant's constants are built
+    once per branch, with numpy in _invert's operation order, and stored
     per node interval (interval i joins nodes i and i + 1): the Hermite
     tangents ma = dw/da and mb = dw/db from the node slopes da, db (inf
     where a slope is 0), whether Fritsch and Carlson admit them, and the
@@ -213,8 +225,8 @@ class DispersionBranch:
     """
 
     __slots__ = ("params", "model", "index", "p_lo", "p_hi", "increasing",
-                 "omega_min", "omega_max", "_asc_w", "_asc_p", "_ma", "_mb",
-                 "_hermite", "_curv")
+                 "omega_min", "omega_max", "_kernel", "_asc_w", "_asc_p",
+                 "_ma", "_mb", "_hermite", "_curv")
 
     def __init__(self, params, model, index, p_nodes, w_nodes, d_nodes,
                  increasing):
@@ -232,6 +244,10 @@ class DispersionBranch:
         self._asc_w = wv.tolist()
         self.omega_min = self._asc_w[0]
         self.omega_max = self._asc_w[-1]
+        slack = 1e-12 * max(self.omega_max, 1.0)
+        self._kernel = (self.omega_min - slack, self.omega_max + slack,
+                        1.0 if increasing else -1.0, params.nu,
+                        model.vhat0, len(self._asc_w) - 1)
         dp = pv[1:] - pv[:-1]
         dw = wv[1:] - wv[:-1]
         da, db = dv[:-1], dv[1:]
@@ -312,7 +328,7 @@ def detect_branches(params: GasParameters, model: PotentialModel,
     branches = []
     for j in range(len(bounds) - 1):
         nodes = np.linspace(bounds[j], bounds[j + 1], 1025)
-        w, slopes, _ = _omega_and_slope(params, model, nodes)
+        w, slopes = _omega_and_slope(params, model, nodes)
         increasing = j % 2 == 0
         d = np.diff(w)
         tol = 1e-12 * max(float(np.max(w)), rt)
@@ -325,7 +341,7 @@ def detect_branches(params: GasParameters, model: PotentialModel,
     return branches
 
 
-# Iteration cap of invert_dispersion: bisection alone shrinks a node
+# Iteration cap of _invert: bisection alone shrinks a node
 # interval to adjacent floats in well under this many steps.
 _INVERT_MAXIT = 200
 
@@ -333,30 +349,48 @@ _INVERT_MAXIT = 200
 def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
     """Momentum on the branch with quasiparticle energy omega.
 
-    The cached nodes bracket the root in [lo, hi].  Newton's method on
+    The public face of _invert, the root kernel that energy_point and the
+    momentum scan call directly: the same checks and errors, and only the
+    momentum of the kernel's (p, vhat(p), vhat'(p)).
+    """
+    return _invert(branch, float(omega))[0]
+
+
+def _invert(branch, omega):
+    """(p, vhat(p), vhat'(p)) at the momentum p on the branch with energy
+    omega, a float.
+
+    A non-finite omega raises DomainError, one outside the branch's
+    energy range by more than a slack of 1e-12 max(omega_max, 1) raises
+    RangeError, and one within the slack is clamped to the range.  The
+    cached nodes bracket the root in [lo, hi].  Newton's method on
     omega(p) - omega starts from the nodes' cubic Hermite interpolant
     (linear where the node slopes would make the cubic non-monotone) and
     falls back to bisection whenever a step leaves the bracket or fails
-    to halve.  After a Newton step delta the error left is at most
-    K delta^2, with K = 2 |d_b - d_a| / (|p_b - p_a| min(|d_a|, |d_b|))
-    from the node slopes d: four times the secant estimate of Newton's
-    constant |omega''| / (2 |omega'|) on the interval.  The tangents,
-    their admissibility and K are the branch's stored constants of the
-    interval (DispersionBranch); a call only looks them up.  The step is
-    the last once that bound is at most an ulp of the new iterate.
-    Otherwise the loop ends on an exact zero, on a step below half an
-    ulp, or when the bracket closes to adjacent floats.
-    Either way the result is within a few ulp of a sign change of
-    omega(p) - omega, so its energy residual is a few ulp of omega.  A
-    loop that runs out (a model whose dispersion is not finite on the
-    bracket) raises AssumptionError.
+    to halve.  Each iterate costs one profile call (vhat_dvhat), which
+    _dispersion_and_slope turns into omega and its slope.  After a
+    Newton step delta the error left is at most K delta^2, with K =
+    2 |d_b - d_a| / (|p_b - p_a| min(|d_a|, |d_b|)) from the node slopes
+    d: four times the secant estimate of Newton's constant |omega''| /
+    (2 |omega'|) on the interval.  The tangents, their admissibility and
+    K are the branch's stored constants of the interval
+    (DispersionBranch); a call only looks them up.  The step is the last
+    once that bound is at most an ulp of the new iterate.  Otherwise the
+    loop ends on an exact zero, on a step below half an ulp, or when the
+    bracket closes to adjacent floats.  Either way the root is within a
+    few ulp of a sign change of omega(p) - omega, so its energy residual
+    is a few ulp of omega.  A root the loop has evaluated returns that
+    evaluation's pair; a new one (a Newton step that met the stop rule,
+    a closed bracket) takes one more profile call, so each momentum is
+    evaluated once.  A loop that runs out (a model whose dispersion is
+    not finite on the bracket) raises AssumptionError.
     """
-    omega = float(omega)
-    if not math.isfinite(omega):
-        raise DomainError(f"omega must be finite, got {omega}")
+    w_low, w_high, sign, nu, v0, last_i = branch._kernel
     wlo, whi = branch.omega_min, branch.omega_max
-    slack = 1e-12 * max(whi, 1.0)
-    if omega < wlo - slack or omega > whi + slack:
+    # one comparison chain on the hot path; NaN fails it as well
+    if not w_low <= omega <= w_high:
+        if not math.isfinite(omega):
+            raise DomainError(f"omega must be finite, got {omega}")
         raise RangeError(
             f"energy {omega} outside branch range [{wlo}, {whi}]")
     # clamps spelled as comparisons: min(max(x, a), b) exactly, and
@@ -365,16 +399,14 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
         omega = wlo
     if omega > whi:
         omega = whi
+    model = branch.model
     wv, pv = branch._asc_w, branch._asc_p
-    i = bisect_left(wv, omega)
-    if i < 1:
-        i = 1
-    if i > len(wv) - 1:
-        i = len(wv) - 1
+    # the node interval [i - 1, i], with i clamped to [1, len - 1]
+    i = bisect_left(wv, omega, 1, last_i)
     pa, pb = pv[i - 1], pv[i]
     lo, hi = (pa, pb) if pa <= pb else (pb, pa)
     if lo == hi:
-        return lo
+        return (lo, *model.vhat_dvhat(lo))
     wa = wv[i - 1]
     dp = pb - pa
     dw = wv[i] - wa
@@ -393,38 +425,39 @@ def invert_dispersion(branch: DispersionBranch, omega: float) -> float:
     if p > hi:
         p = hi
     curv = branch._curv[i - 1]
-    sign = 1.0 if branch.increasing else -1.0
-    params, model = branch.params, branch.model
     last = hi - lo
     for _ in range(_INVERT_MAXIT):
-        w, slope, _ = _omega_and_slope(params, model, p)
+        vh, dvh = model.vhat_dvhat(p)
+        w, slope = _dispersion_and_slope(nu, v0, p, vh, dvh)
         g = sign * (w - omega)
         if g < 0.0:
             lo = p
         elif g > 0.0:
             hi = p
         elif g == 0.0:
-            return p
+            return p, vh, dvh
         dg = sign * slope
         step = g / dg if dg > 0.0 else math.inf
         q = p - step
         if q == p:
-            return p
+            return p, vh, dvh
         size = abs(step)
         if lo < q < hi and 2.0 * size <= last:
             if curv * size * size <= math.ulp(q):
-                return q
+                break
             last = size
         else:
             q = 0.5 * (lo + hi)
             if q == lo or q == hi:
-                return q
+                break
             last = hi - lo
         p = q
-    raise AssumptionError(
-        f"dispersion inversion at energy {omega} did not converge in "
-        f"{_INVERT_MAXIT} steps on {branch!r}: the dispersion is not finite "
-        "and monotone on the bracket")
+    else:
+        raise AssumptionError(
+            f"dispersion inversion at energy {omega} did not converge in "
+            f"{_INVERT_MAXIT} steps on {branch!r}: the dispersion is not "
+            "finite and monotone on the bracket")
+    return (q, *model.vhat_dvhat(q))
 
 
 @functools.lru_cache(maxsize=8)
@@ -469,17 +502,17 @@ def energy_point(params: GasParameters, model: PotentialModel,
     bit for bit at x = 0, nu_x = nu vhat(p)/vhat0, NP is NP(p), and the
     measure factor f = 1/(nu NP), singular where NP vanishes, is not
     checked here.  The first four slots are in the order of _coeffs, so
-    vertices._vertex reads either tuple.
+    vertices._vertex reads either tuple.  One pass: the root kernel
+    _invert gives p with vhat(p) and vhat'(p), so no profile call is
+    made here.
     """
-    p = invert_dispersion(branch, x)
-    nu = params.nu
-    v0 = model.vhat0
-    vh = model.vhat(p)
+    p, vh, dvh = _invert(branch, x)
+    nu, v0 = params.nu, model.vhat0
     nu_x = nu * (vh / v0)
     E = 0.5 * p * p + nu_x
     c = math.sqrt(E + x)
     s = abs(nu_x) / c
-    npk = _np_slope(nu, v0, p, vh, model.dvhat(p))
+    npk = _np_slope(nu, v0, p, vh, dvh)
     return s, c, 2.0 * x / (c + s), nu_x, 1.0 / (nu * npk), npk
 
 
@@ -491,7 +524,7 @@ def measure_factor_f(params: GasParameters, model: PotentialModel,
     on decreasing ones.  Singular at a stationary endpoint, where it is
     the package's one evaluation that raises (SingularMeasureError).
     """
-    f, npk = energy_point(params, model, branch, u)[4:]
+    f, npk = energy_point(params, model, branch, float(u))[4:]
     # branch boundaries are located to about 1e-8 sqrt(nu) in momentum, so
     # a query at a stationary endpoint sees a slope of that size, not zero
     if abs(npk) < 1e-7:

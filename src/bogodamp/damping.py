@@ -39,7 +39,8 @@ import numpy as np
 
 from .bogoliubov import (branch_table, energy_point, invert_dispersion,
                          omega_bg, _coeff_kernel, _coeffs, _dispersion,
-                         _omega_and_slope, _omega_scalar)
+                         _dispersion_and_slope, _invert, _omega_and_slope,
+                         _omega_scalar)
 from .errors import DomainError, IntegrandError, ParameterError
 from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
@@ -148,15 +149,16 @@ def _owns(branch, t):
 
 
 def _resolve_roots(branches, target, q_lo, q_hi):
-    """All momenta q in [q_lo, q_hi] with omega(q) = target, ascending: one
-    on each branch that owns the target (_owns)."""
+    """All momenta q in [q_lo, q_hi] with omega(q) = target, ascending, as
+    the root kernel's (q, vhat(q), vhat'(q)): one on each branch that
+    owns the target (_owns)."""
     slack = 1e-9 * (1.0 + q_hi)
     out = []
     for b in branches:
         if _owns(b, target):
-            q = invert_dispersion(b, target)
-            if q_lo - slack <= q <= q_hi + slack:
-                out.append(q)
+            root = _invert(b, target)
+            if q_lo - slack <= root[0] <= q_hi + slack:
+                out.append(root)
     return out
 
 
@@ -333,20 +335,33 @@ def _quadrature_rate(params, model, k, process, quad, scan):
 
 
 def _beliaev_energy_path(params, model, quad, support):
-    """(value, error, ok) of gamma_beliaev_quadrature on the first branch."""
+    """(value, error, ok) of gamma_beliaev_quadrature on the first branch.
+
+    The integrand is a function of the sorted energy pair (u, w) alone,
+    bit for bit: -y swaps u and w exactly, and f(u) f(w), _vertex (in P
+    and Q) and _w_beliaev are exactly symmetric.  So the rate keeps each
+    pair's value, and a node mirrored about y = 0, which the quadrature
+    rule and its bisections place for every node of a symmetric piece,
+    takes no energy point of its own.
+    """
     k, w_k, branch = support.k, support.omega_k, support.branches[0]
     pO = energy_point(params, model, branch, w_k)
     beta = params.beta
+    seen = {}
 
     def gy(y):
         u = 0.5 * (w_k + y)
         w = 0.5 * (w_k - y)
         if u <= 0.0 or w <= 0.0:
             return 0.0
-        pu = energy_point(params, model, branch, u)
-        pw = energy_point(params, model, branch, w)
-        F = _vertex(pO, pu, pw)
-        return pu[4] * pw[4] * F * F * _w_beliaev(beta, u, w)
+        pair = (u, w) if u <= w else (w, u)
+        val = seen.get(pair)
+        if val is None:
+            pu = energy_point(params, model, branch, u)
+            pw = energy_point(params, model, branch, w)
+            F = _vertex(pO, pu, pw)
+            val = seen[pair] = pu[4] * pw[4] * F * F * _w_beliaev(beta, u, w)
+        return val
 
     pieces = [(2.0 * _omega_scalar(params, model, pa) - w_k,
                2.0 * _omega_scalar(params, model, pb) - w_k)
@@ -391,11 +406,11 @@ def _generic_scan(params, model, quad, support):
     Roots are resolved on support.branches, the table detect_support
     counted them on and the energy paths evaluate on.  Each node
     evaluates the profile once at p, for omega(p) and the coefficients at
-    p, and once (vhat and dvhat) at each root q, for |omega'(q)| and the
-    coefficients at q; omega(k) comes from the support and the
-    coefficients at k are taken once per rate.  They feed vertices._j in
-    the order vertex_j gives them, so the integrand is vertex_j's to the
-    bit.
+    p; at each root q the pair (vhat, vhat') the root kernel returns
+    gives |omega'(q)| and the coefficients at q, with no evaluation of
+    its own.  omega(k) comes from the support and the coefficients at k
+    are taken once per rate.  They feed vertices._j in the order
+    vertex_j gives them, so the integrand is vertex_j's to the bit.
     """
     k, w_k, branches = support.k, support.omega_k, support.branches
     beta = params.beta
@@ -412,10 +427,10 @@ def _generic_scan(params, model, quad, support):
         tgt = w_k - wp if beliaev else w_k + wp
         cp = None
         tot = 0.0
-        for q in _resolve_roots(branches, tgt, abs(p - k), p + k):
+        for q, vq, dvq in _resolve_roots(branches, tgt, abs(p - k), p + k):
             if q <= 0.0:
                 continue
-            wq, slope, vq = _omega_and_slope(params, model, q)
+            wq, slope = _dispersion_and_slope(nu, v0, q, vq, dvq)
             if cp is None:
                 cp = _coeff_kernel(params, model, p, vp, wp)
             cq = _coeff_kernel(params, model, q, vq, wq)

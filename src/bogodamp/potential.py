@@ -1,10 +1,11 @@
 """Radial interaction potentials in momentum space, plus the assumption checks.
 
 Every model exposes the radial profile vhat(k) for k >= 0, its radial
-derivative, and a little metadata the validator and the grid builders
-need.  Models are immutable and accept scalars or numpy arrays.  The
-profile is the even radial section of a rotation invariant function, so
-negative arguments never appear; callers pass magnitudes.
+derivative, the two from one evaluation (vhat_dvhat), and a little
+metadata the validator and the grid builders need.  Models are
+immutable and accept scalars or numpy arrays.  The profile is the even
+radial section of a rotation invariant function, so negative arguments
+never appear; callers pass magnitudes.
 
 The shape of a model (vhat normalised by its value at zero) is what enters
 the dispersion; the overall amplitude of the rates is carried separately
@@ -47,7 +48,8 @@ def _check_pos(name, val, allow_inf=False):
 
 
 class PotentialModel:
-    """Base interface: kind, vhat0, vhat(k), dvhat(k), curvature at zero."""
+    """Base interface: kind, vhat0, vhat(k), dvhat(k), both at once
+    (vhat_dvhat), curvature at zero."""
 
     kind = "abstract"
 
@@ -60,6 +62,16 @@ class PotentialModel:
 
     def dvhat(self, k):
         raise NotImplementedError
+
+    def vhat_dvhat(self, k):
+        """(vhat(k), dvhat(k)) at a float or an array k >= 0.
+
+        The hot paths (dispersion inversion, the momentum scan) take both
+        from this one call; a model overrides it to share one evaluation
+        between the two, so this default serves a model that defines only
+        vhat and dvhat.
+        """
+        return self.vhat(k), self.dvhat(k)
 
     def d2vhat0(self) -> float:
         """Second radial derivative of vhat at k = 0."""
@@ -86,6 +98,10 @@ class GaussianPotential(PotentialModel):
     def __post_init__(self):
         object.__setattr__(self, "v", _check_pos("v", self.v))
         object.__setattr__(self, "nu", _check_pos("nu", self.nu))
+        # the profile's constants 2 nu^2 and w2 = nu^2 / v, each in the
+        # operation order of its formula
+        object.__setattr__(self, "_den", 2.0 * self.nu ** 2)
+        object.__setattr__(self, "_w2", self.nu * self.nu / self.v)
 
     kind = "gaussian"
 
@@ -103,7 +119,7 @@ class GaussianPotential(PotentialModel):
             # k^2 beyond the float range, where np.square gives inf and
             # the array path 0.0; the profile underflowed long before
             return 0.0
-        return self.v * math.exp(-self.v * k2 / (2.0 * self.nu ** 2))
+        return self.v * math.exp(-self.v * k2 / self._den)
 
     def vhat(self, k):
         if type(k) is float or np.ndim(k) == 0:
@@ -111,12 +127,19 @@ class GaussianPotential(PotentialModel):
         return self.v * np.exp(-self._expo(np.asarray(k, dtype=float)))
 
     def dvhat(self, k):
-        w2 = self.nu * self.nu / self.v
-        if type(k) is float or np.ndim(k) == 0:
+        return self.vhat_dvhat(k)[1]
+
+    def vhat_dvhat(self, k):
+        """(vhat(k), dvhat(k)) from one exponential: vhat' = -k vhat / w2
+        with w2 = nu^2 / v."""
+        if type(k) is not float:
+            if np.ndim(k):
+                k = np.asarray(k, dtype=float)
+                vh = self.vhat(k)
+                return vh, -k / self._w2 * vh
             k = float(k)
-            return -k / w2 * self._scalar_vhat(k)
-        k = np.asarray(k, dtype=float)
-        return -k / w2 * self.vhat(k)
+        vh = self._scalar_vhat(k)
+        return vh, -k / self._w2 * vh
 
     def d2vhat0(self):
         return -self.v * self.v / (self.nu * self.nu)
@@ -277,7 +300,8 @@ class TabulatedPotential(PotentialModel):
 
     def _pchip(self, k, slope=False):
         """Interpolant at min(k, k_max) for a float or an array k >= 0, or
-        with slope its derivative, coefficients (c2, 2 c1, 3 c0).
+        with slope the pair of it and its derivative, coefficients (c2,
+        2 c1, 3 c0), from one interval lookup.
 
         The last interval is closed on the right at k_max; the terms are
         summed lowest power first with running powers of s, as scipy's
@@ -298,15 +322,19 @@ class TabulatedPotential(PotentialModel):
                            self._last)
             c0, c1, c2, c3 = self._c.take(i, axis=1)
             s = k - self.grid.take(i)
-        if slope:
-            return 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
         z = s * s
-        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+        value = 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+        if slope:
+            return value, 0.0 + c2 + 2.0 * c1 * s + 3.0 * c0 * z
+        return value
 
     def vhat(self, k):
         return self._pchip(self._checked(k))
 
     def dvhat(self, k):
+        return self._pchip(self._checked(k), slope=True)[1]
+
+    def vhat_dvhat(self, k):
         return self._pchip(self._checked(k), slope=True)
 
     def d2vhat0(self):

@@ -29,8 +29,9 @@ def flat_params(flat_model):
 
 
 class CountingVhat:
-    """Delegates to a model and counts its vhat calls, floats and arrays
-    apart, and the elements of its array calls."""
+    """Delegates to a model and counts its profile calls, floats and arrays
+    apart, and the elements of its array calls.  A vhat_dvhat call, which
+    gives vhat and dvhat from one evaluation, counts as one call."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -40,13 +41,20 @@ class CountingVhat:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def vhat(self, k):
+    def _count(self, k):
         if np.ndim(k):
             self.calls["array"] += 1
             self.elements += np.size(k)
         else:
             self.calls["float"] += 1
+
+    def vhat(self, k):
+        self._count(k)
         return self.inner.vhat(k)
+
+    def vhat_dvhat(self, k):
+        self._count(k)
+        return self.inner.vhat_dvhat(k)
 
 
 def gaussian_setup(beta_nu, nu=1.0, two_v_over_nu=0.2):

@@ -1,5 +1,7 @@
-"""tools/ab_pairs.py: the claim rule it prints, and the runs it refuses."""
+"""tools/ab_pairs.py: the claim rule it prints, the runs it refuses, and
+the pass counts it records."""
 import importlib.util
+import json
 import os
 
 import pytest
@@ -69,3 +71,37 @@ def test_a_bad_run_writes_no_file(tmp_path, monkeypatch, side, key, value):
         ab_pairs.main(argv)
     assert err.value.code != 0
     assert not (tmp_path / "BENCH_w.json").exists()
+
+
+@pytest.mark.parametrize("line, counts", [
+    ("workload readme_sweep  seed 0  trace 0  passes by --jobs {2: 29, 1: 29}",
+     {"2": 29, "1": 29}),
+    ("workload generic_scan  seed 0  trace 0  passes by --jobs {1: 2}",
+     {"1": 2}),
+])
+def test_pass_counts_read_the_header_line(line, counts):
+    out = f"{line}\n  cpu_s   0.1 s\n" + '{"correct": true}\n'
+    assert ab_pairs.pass_counts(out) == counts
+
+
+def test_pass_counts_without_the_header_line():
+    assert ab_pairs.pass_counts('{"correct": true}\n') is None
+
+
+def test_pass_counts_are_written_per_side(tmp_path, monkeypatch):
+    """BENCH_<W>.json keeps each run's pass counts, in pair order."""
+    def run(cpu, passes):
+        return dict(_run(cpu), passes={"1": passes})
+
+    # pair 0 runs the parent first, pair 1 the change
+    calls = iter([run(0.2, 10), run(0.1, 20), run(0.1, 21), run(0.2, 11)])
+    monkeypatch.setattr(ab_pairs, "run_once", lambda root, args: next(calls))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "cpu_s", "unit": "s", "better": "lower"}]}')
+    assert ab_pairs.main(["parent", "change", "--workload", "w",
+                          "--pairs", "2"]) == 0
+    written = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert written["passes"] == {"parent": [{"1": 10}, {"1": 11}],
+                                 "change": [{"1": 20}, {"1": 21}]}

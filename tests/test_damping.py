@@ -21,7 +21,7 @@ from bogodamp.damping import (DampingResult, detect_support, flat_highT_kernel,
 from bogodamp.errors import DomainError, ParameterError
 from bogodamp.params import make_params
 from bogodamp.potential import (FlatCutoffPotential, GaussianPotential,
-                                load_tabulated)
+                                PotentialModel, load_tabulated)
 from bogodamp.specfun import landau_Gk, zeta
 from conftest import (CountingVhat, concave_table, gaussian_setup,
                       maxon_roton_table)
@@ -214,8 +214,8 @@ def test_a_stationary_energy_has_one_root(edge):
     args = (params, model, branches, "beliaev", p_star, w)
     assert damping._root_counts(*args, p) == 1
     assert damping._root_counts(*args, np.array([p])).tolist() == [1]
-    assert damping._resolve_roots(branches, energy, p_star - p,
-                                  p_star + p) == [p_star]
+    roots = damping._resolve_roots(branches, energy, p_star - p, p_star + p)
+    assert [q for q, _vh, _dvh in roots] == [p_star]
 
 
 def _count_inversions(monkeypatch):
@@ -499,12 +499,105 @@ def test_generic_scan_rate_bits_are_pinned():
     assert res.abs_error == 2.5815960783825447e-15
 
 
+def _decay_integrands(monkeypatch, params, model, k, n):
+    """n fresh integrands of the decay's energy path at k, each with a
+    mirror cache of its own; the rates themselves are not integrated."""
+    grabbed = []
+
+    def grab(f, pieces, quad):
+        grabbed.append(f)
+        return 0.0, 0.0, True
+
+    with monkeypatch.context() as mp:
+        mp.setattr(damping, "_integrate_pieces", grab)
+        for _ in range(n):
+            gamma_beliaev_quadrature(params, model, k)
+    return grabbed
+
+
+@pytest.mark.parametrize("bn, k", [(50.0, 1e-3), (200.0, 0.05),
+                                   (1000.0, 0.2)])
+def test_decay_integrand_is_even_in_y(monkeypatch, bn, k):
+    """gy(-y) == gy(y) bit for bit at 400 random y: -y swaps u and w
+    exactly and every factor is exactly symmetric in them, which is what
+    lets a mirrored node take its value from the cache.  Each side comes
+    from its own integrand, so no value here is a cache hit."""
+    params, model = gaussian_setup(beta_nu=bn)
+    w_k = omega_bg(params, model, k)
+    plus, minus = _decay_integrands(monkeypatch, params, model, k, 2)
+    for y in np.random.default_rng(7).uniform(-w_k, w_k, 400).tolist():
+        a, b = plus(y), minus(-y)
+        assert a > 0.0
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), y
+
+
+def test_readme_decay_rates_share_mirrored_energy_points(monkeypatch):
+    """The README sweep's 27 decay rates (Gaussian v = 0.1, nine k from
+    1e-3 to 0.2, beta*nu = 50, 200, 1000) take their mirrored nodes from
+    the cache: 1,293 energy points, where evaluating every node took
+    2,505."""
+    calls = [0]
+    orig = damping.energy_point
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(damping, "energy_point", counted)
+    model = GaussianPotential(v=0.1, nu=1.0)
+    for bn in (50.0, 200.0, 1000.0):
+        params = make_params(nu=1.0, beta=bn, vhat0=model.vhat0)
+        for k in np.geomspace(1e-3, 0.2, 9):
+            gamma_beliaev_quadrature(params, model, float(k))
+    assert calls[0] <= 1300
+
+
+class _TwoCallGaussian(PotentialModel):
+    """A user model that defines only vhat, dvhat, vhat0 and d2vhat0, over
+    the Gaussian: its vhat_dvhat is the base class's vhat then dvhat."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def vhat0(self):
+        return self.inner.vhat0
+
+    def vhat(self, k):
+        return self.inner.vhat(k)
+
+    def dvhat(self, k):
+        return self.inner.dvhat(k)
+
+    def d2vhat0(self):
+        return self.inner.d2vhat0()
+
+
+@pytest.mark.parametrize("bn, k", [(50.0, 0.05), (1000.0, 0.2), (4.0, 0.6)])
+def test_a_model_without_vhat_dvhat_gives_the_same_rates(bn, k):
+    """Both quadratures and the momentum scan return the Gaussian's rates
+    bit for bit through the base class's two-call profile entry."""
+    inner = GaussianPotential(v=0.1, nu=1.0)
+    user = _TwoCallGaussian(inner)
+    params = make_params(nu=1.0, beta=bn, vhat0=inner.vhat0)
+    rates = (gamma_beliaev_quadrature, gamma_landau_quadrature,
+             lambda p, m, k: reduce_delta_generic(p, m, k, "beliaev"),
+             lambda p, m, k: reduce_delta_generic(p, m, k, "landau"))
+    for rate in rates:
+        want, got = rate(params, inner, k), rate(params, user, k)
+        assert got.method == want.method
+        assert got.converged is want.converged
+        assert np.array([got.value, got.abs_error]).tobytes() == np.array(
+            [want.value, want.abs_error]).tobytes()
+
+
 @pytest.mark.parametrize("rate, floats, arrays", [
-    (gamma_beliaev_quadrature, 1243, 7),
-    (gamma_landau_quadrature, 16371, 11),
+    (gamma_beliaev_quadrature, 1241, 7),
+    (gamma_landau_quadrature, 16299, 11),
 ], ids=["beliaev", "landau"])
 def test_generic_scan_profile_call_budget(rate, floats, arrays):
-    """Float vhat calls of a whole scan rate on the maxon table, k = 0.2.
+    """Float profile calls (vhat, or vhat and dvhat from one vhat_dvhat)
+    of a whole scan rate on the maxon table, k = 0.2.
 
     Each scan node evaluates the profile once at p and once at each
     conservation root, and the coefficients at k once per rate; support
@@ -522,7 +615,9 @@ def test_generic_scan_profile_call_budget(rate, floats, arrays):
     by inversion inside them and in its bisection, made 1240 and 16320
     float calls and 17 array calls on both.  One that took a grid of
     constant count as the support without the count at its midpoint that
-    every other support makes, made 1240 decay calls.
+    every other support makes, made 1240 decay calls.  One whose scan
+    evaluated each root once more after its inversion, also where the
+    Newton loop had already evaluated it, made 1243 and 16371.
     """
     m = CountingVhat(maxon_roton_table())
     res = rate(make_params(1, 4, m.vhat0), m, 0.2)

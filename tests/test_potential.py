@@ -40,6 +40,54 @@ def test_gaussian_derivative_matches_fd():
         assert m.dvhat(k) == pytest.approx(fd, rel=1e-7)
 
 
+PAIR_MODELS = {
+    "gaussian": GaussianPotential(v=0.1, nu=1.0),
+    "flat_cutoff": FlatCutoffPotential(v0=0.8, Lambda=1.5),
+    "maxon_roton": maxon_roton_table(),
+    "dip": load_tabulated(os.path.join(os.path.dirname(__file__), "data",
+                                       "dip_profile.dat")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_MODELS))
+def test_vhat_dvhat_is_vhat_and_dvhat_bit_for_bit(name):
+    """The one-evaluation profile entry gives the bits of the two calls,
+    on floats and on arrays: k = 0, the table knots or the flat profile's
+    junctions, and 2000 random momenta up to the table's end (4 for the
+    analytic profiles)."""
+    model = PAIR_MODELS[name]
+    k_hi = getattr(model, "k_max", 4.0)
+    ks = np.concatenate((getattr(model, "grid", [0.0, 1.5, 3.0]),
+                         np.random.default_rng(29).uniform(0.0, k_hi, 2000)))
+    vh, dvh = model.vhat_dvhat(ks)
+    assert vh.tobytes() == np.asarray(model.vhat(ks)).tobytes()
+    assert dvh.tobytes() == np.asarray(model.dvhat(ks)).tobytes()
+    for k in ks.tolist():
+        got = np.array(model.vhat_dvhat(k))
+        want = np.array((model.vhat(k), model.dvhat(k)))
+        assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("v, nu", [(0.1, 1.0), (0.13, 0.7)])
+def test_gaussian_keeps_its_operation_order(v, nu):
+    """vhat = v exp(-v k^2 / (2 nu^2)) on floats and vhat' = (-k / (nu^2 /
+    v)) vhat(k) on floats and arrays, in these orders, as vhat and dvhat
+    computed them before the model stored 2 nu^2 and nu^2 / v and
+    vhat_dvhat shared one exponential."""
+    m = GaussianPotential(v=v, nu=nu)
+    ks = np.random.default_rng(31).uniform(0.0, 4.0, 2000)
+    want = -ks / (m.nu * m.nu / m.v) * m.vhat(ks)
+    assert m.vhat_dvhat(ks)[1].tobytes() == want.tobytes()
+    got = [m.vhat_dvhat(k) for k in ks.tolist()]
+    want = [m.v * math.exp(-m.v * k ** 2 / (2.0 * m.nu ** 2))
+            for k in ks.tolist()]
+    want = [(vh, -k / (m.nu * m.nu / m.v) * vh)
+            for k, vh in zip(ks.tolist(), want)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array([m.vhat(k) for k in ks.tolist()]).tobytes() == \
+        np.array([vh for vh, _ in want]).tobytes()
+
+
 def test_gaussian_vectorized_agrees_with_scalar():
     m = GaussianPotential(v=0.1, nu=1.0)
     ks = np.array([0.0, 0.3, 1.0, 4.0])

@@ -8,16 +8,21 @@ runs `python3 perfbench/run.py --workload W --seed 0 --seconds S --trace
 0` once in each checkout, from its root and in a fresh process, one after
 the other: the parent goes first in even pairs, the change in odd ones.
 The end-to-end metrics are the ones CHANGE_DIR's BENCHMARK.json lists,
-read from the JSON object on the last line of each run's output.
+read from the JSON object on the last line of each run's output.  The
+passes each run fitted, per `--jobs` variant, are read from its `passes
+by --jobs {...}` header line: the benchmark keeps every pass's
+operations, so `peak_rss_mb` grows with the passes a run fits, and a
+faster side can read higher for that reason alone.
 
-Writes BENCH_<W>.json in the current directory: per metric and side the per-pair values,
-their median and quartiles, the pairs each side won (a tie counts for
-neither), the change of the medians in percent of the parent's, the
-parent's interquartile range, and whether a gain may be claimed: the
-change wins at least nine tenths of the pairs and its median beats the
-parent's by more than that range.  A run whose gate reports `correct:
-false`, or a pair whose two sides fail different numbers of operations,
-exits non-zero and writes no file.  Standard library only.
+Writes BENCH_<W>.json in the current directory: each run's pass counts,
+per metric and side the per-pair values, their median and quartiles,
+the pairs each side won (a tie counts for neither), the change of the
+medians in percent of the parent's, the parent's interquartile range,
+and whether a gain may be claimed: the change wins at least nine
+tenths of the pairs and its median beats the parent's by more than that
+range.  A run whose gate reports `correct: false`, or a pair whose two
+sides fail different numbers of operations, exits non-zero and writes
+no file.  Standard library only.
 """
 from __future__ import annotations
 
@@ -25,11 +30,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PASSES = re.compile(r"passes by --jobs \{([^}]*)\}")
 
 
 def parse_args(argv):
@@ -42,8 +49,19 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
+def pass_counts(stdout):
+    """{jobs: passes} from a run's `passes by --jobs {2: 29, 1: 29}` line,
+    with the jobs as strings (JSON keys); None if there is no such line."""
+    m = PASSES.search(stdout)
+    if m is None:
+        return None
+    return {jobs.strip(): int(n) for jobs, n in
+            (item.split(":") for item in m.group(1).split(","))}
+
+
 def run_once(root, args):
-    """The JSON summary of one benchmark run in the checkout at root."""
+    """The JSON summary of one benchmark run in the checkout at root, with
+    its pass counts under "passes"."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", args.workload, "--seed", "0",
            "--seconds", repr(args.seconds), "--trace", "0"]
@@ -51,7 +69,9 @@ def run_once(root, args):
     if out.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {root} with exit "
                          f"{out.returncode}:\n{out.stderr}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    summary = json.loads(out.stdout.strip().splitlines()[-1])
+    summary["passes"] = pass_counts(out.stdout)
+    return summary
 
 
 def summary(values):
@@ -105,7 +125,8 @@ def main(argv=None):
             pair[side] = run_once(dirs[side], args)
             shown = {m["name"]: round(pair[side]["metrics"][m["name"]]
                                       ["value"], 4) for m in metrics}
-            print(f"pair {i} {side}: {shown}", file=sys.stderr, flush=True)
+            print(f"pair {i} {side}: {shown} passes "
+                  f"{pair[side].get('passes')}", file=sys.stderr, flush=True)
         runs.append(pair)
     bad = gate_problems(runs)
     if bad:
@@ -118,6 +139,7 @@ def main(argv=None):
         "pairs": args.pairs,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
+        "passes": {s: [r[s].get("passes") for r in runs] for s in SIDES},
         "metrics": {m["name"]: compare(m["name"], m["unit"], m["better"],
                                        runs) for m in metrics},
         "gates": [{s: {key: r[s][key] for key in ("correct", "attempted",
@@ -135,6 +157,8 @@ def main(argv=None):
               f"{m['change_wins']} of {args.pairs}, parent IQR "
               f"{m['parent_iqr']:.4g}: claim rule "
               f"{'holds' if m['claim_holds'] else 'does not hold'}")
+    for side in SIDES:
+        print(f"passes by --jobs, {side}: {result['passes'][side]}")
     return 0
 
 
