@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (AssumptionError, DomainError, ExtrapolationError,
                      ParameterError, RangeError, SingularityError,
-                     SingularMeasureError)
+                     SingularMeasureError, _checked_finite)
 from .params import GasParameters
 from .potential import PotentialModel, _np_slope
 
@@ -108,23 +108,9 @@ def _omega_and_slope(params, model, k):
     return _dispersion_and_slope(params.nu, model.vhat0, k, vh, dvh)
 
 
-def _checked(k):
-    """k as a float or a float array; DomainError unless finite and >= 0."""
-    if type(k) is not float:
-        arr = np.asarray(k, dtype=float)
-        if arr.ndim:
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise DomainError("k must be finite and >= 0")
-            return arr
-        k = float(arr)
-    if not (math.isfinite(k) and k >= 0):
-        raise DomainError("k must be finite and >= 0")
-    return k
-
-
 def omega_bg(params: GasParameters, model: PotentialModel, k):
     """Quasiparticle energy omega(k), scalar or array, k >= 0."""
-    return _omega_scalar(params, model, _checked(k))
+    return _omega_scalar(params, model, _checked_finite("k", k, arrays=True))
 
 
 def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
@@ -136,7 +122,8 @@ def omega_bg_prime(params: GasParameters, model: PotentialModel, k):
     to subnormal k; at k = 0 it is sqrt(nu) exactly.  A 0-d input returns
     a float.
     """
-    return _omega_and_slope(params, model, _checked(k))[1]
+    k = _checked_finite("k", k, arrays=True)
+    return _omega_and_slope(params, model, k)[1]
 
 
 def _coeffs(params, model, x):
@@ -183,9 +170,7 @@ def bogo_coeffs(params: GasParameters, model: PotentialModel, k: float):
     uses E = k^2/2 + nu_k, which equals sqrt(omega^2 + nu_k^2)
     identically.
     """
-    k = float(k)
-    if not math.isfinite(k) or k < 0:
-        raise DomainError(f"k must be finite and >= 0, got {k}")
+    k = _checked_finite("k", k)
     if k == 0:
         raise SingularityError(
             "bogo_coeffs is singular at k = 0; use regularized_F for the "
@@ -195,10 +180,7 @@ def bogo_coeffs(params: GasParameters, model: PotentialModel, k: float):
 
 def occupation_rho(params: GasParameters, omega: float) -> float:
     """Thermal occupation 1/(exp(beta omega) - 1) of a mode at energy omega."""
-    omega = float(omega)
-    if not math.isfinite(omega) or omega <= 0:
-        raise DomainError(f"omega must be finite and > 0, got {omega}")
-    x = params.beta * omega
+    x = params.beta * _checked_finite("omega", omega, positive=True)
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)

@@ -41,7 +41,7 @@ from .bogoliubov import (branch_table, energy_point, invert_dispersion,
                          omega_bg, _coeff_kernel, _coeffs, _dispersion,
                          _dispersion_and_slope, _invert, _omega_and_slope,
                          _omega_scalar)
-from .errors import DomainError, IntegrandError, ParameterError
+from .errors import IntegrandError, ParameterError, _checked_finite
 from .numerics import QuadratureSpec, integrate_adaptive
 from .params import GasParameters, RegimeDiagnostics, diagnostics
 from .potential import PotentialModel
@@ -78,13 +78,6 @@ def _check_process(process):
 def _landau_t_max(beta, w_k):
     """Upper cut of the Landau variable t = beta u at theta = beta w_k."""
     return max(T_CUT, beta * w_k + 40.0)
-
-
-def _validate_k(k):
-    k = float(k)
-    if not math.isfinite(k) or k <= 0:
-        raise DomainError(f"k must be finite and > 0, got {k}")
-    return k
 
 
 def _w_beliaev(beta, u, w):
@@ -212,11 +205,9 @@ def detect_support(params: GasParameters, model: PotentialModel, k: float,
     resolution would be missed; for convex dispersions the count is
     constant and the support is the full interval.
     """
-    k = _validate_k(k)
+    k = _checked_finite("k", k, positive=True)
     _check_process(process)
-    w_k = _omega_scalar(params, model, k)
-    if not math.isfinite(w_k):
-        raise DomainError(f"omega_k must be finite and >= 0, got {w_k!r}")
+    w_k = _checked_finite("omega_k", _omega_scalar(params, model, k))
     beta = params.beta
     p_lo = 0.0
     if process == "beliaev":
@@ -300,8 +291,7 @@ def gamma_landau_quadrature(params: GasParameters, model: PotentialModel,
 
 
 def reduce_delta_generic(params: GasParameters, model: PotentialModel,
-                         k: float, process: str,
-                         quad: QuadratureSpec | None = None) -> DampingResult:
+                         k: float, process: str) -> DampingResult:
     """Rate by the generic partner momentum scan, valid on any branch layout.
 
     The conservation delta is resolved at every outer node by inverting
@@ -310,7 +300,7 @@ def reduce_delta_generic(params: GasParameters, model: PotentialModel,
     that weight has an integrable inverse square root singularity; where
     the quadrature cannot resolve it, the result says converged=False.
     """
-    return _quadrature_rate(params, model, k, process, quad, True)
+    return _quadrature_rate(params, model, k, process, None, True)
 
 
 def _quadrature_rate(params, model, k, process, quad, scan):
@@ -461,9 +451,7 @@ def _generic_scan(params, model, quad, support):
 def _closed_form_scales(params, k):
     """(k, vhat0 nu^{3/2}, k/sqrt(nu), beta nu) of the closed-form laws;
     DomainError unless k is finite and >= 0."""
-    k = float(k)
-    if not math.isfinite(k) or k < 0:
-        raise DomainError(f"k must be finite and >= 0, got {k}")
+    k = _checked_finite("k", k)
     nu = params.nu
     rt = math.sqrt(nu)
     return k, params.vhat0 * nu * rt, k / rt, params.beta * nu
@@ -545,9 +533,7 @@ def flat_highT_kernel(z: float) -> float:
     the bracket is evaluated by its series (9/8) z^4 - (33/16) z^6
     + (373/128) z^8 to sidestep cancellation.
     """
-    z = float(z)
-    if not math.isfinite(z) or z < 0:
-        raise DomainError(f"z must be finite and >= 0, got {z}")
+    z = _checked_finite("z", z)
     if z == 0.0:
         return 0.0
     w = z * z
@@ -558,12 +544,10 @@ def flat_highT_kernel(z: float) -> float:
     return bracket / w
 
 
-def flat_highT_kernel_integral(spec: QuadratureSpec | None = None) -> float:
+def flat_highT_kernel_integral() -> float:
     """Quadrature value of the kernel integral, analytically 3 pi / 8."""
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-10, tail_scale=2.0)
-    res = integrate_adaptive(flat_highT_kernel, 0.0, math.inf, spec)
-    return res.value
+    spec = QuadratureSpec(rel_tol=1e-10, tail_scale=2.0)
+    return integrate_adaptive(flat_highT_kernel, 0.0, math.inf, spec).value
 
 
 def gamma_landau_flat_highT(params: GasParameters, k: float) -> float:
@@ -831,7 +815,7 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
 
     Returns (estimate, stderr).
     """
-    k = _validate_k(k)
+    k = _checked_finite("k", k, positive=True)
     _check_process(process)
     n_samples = int(n_samples)
     if n_samples < MC_MIN_SAMPLES:
@@ -943,14 +927,13 @@ def mc_oracle(params: GasParameters, model: PotentialModel, k: float,
     return est, stderr
 
 
-def total_damping(params: GasParameters, model: PotentialModel, k: float,
-                  quad: QuadratureSpec | None = None):
+def total_damping(params: GasParameters, model: PotentialModel, k: float):
     """Both quadrature rates and their sum: (beliaev, landau, total).
 
     The imaginary part of the dispersion is minus the total; conventions
     that track the decay of the squared mode amplitude quote twice these
     numbers.
     """
-    rb = gamma_beliaev_quadrature(params, model, k, quad)
-    rl = gamma_landau_quadrature(params, model, k, quad)
+    rb = gamma_beliaev_quadrature(params, model, k)
+    rl = gamma_landau_quadrature(params, model, k)
     return rb, rl, rb.value + rl.value

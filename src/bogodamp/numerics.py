@@ -18,11 +18,11 @@ t = a + c*s/(1-s) before the adaptive pass; it handles power law and
 exponential tails alike once c roughly matches the decay scale.
 
 A result is "ok" exactly when dqage returns ier = 0: the summed error
-estimate meets the requested tolerance before the subdivision budget
-runs out, with no roundoff or bad integrand behaviour detected.  Error
-estimates are conservative in the usual sense: trustworthy as an upper
-bound most of the time, and never off by much more than an order of
-magnitude on sane integrands.
+estimate meets the requested tolerance before the fixed budget of 2000
+subdivisions (dqage's limit) runs out, with no roundoff or bad integrand
+behaviour detected.  Error estimates are conservative in the usual
+sense: trustworthy as an upper bound most of the time, and never off by
+much more than an order of magnitude on sane integrands.
 """
 from __future__ import annotations
 
@@ -43,20 +43,23 @@ _EPMACH = sys.float_info.epsilon      # d1mach(4)
 _UFLOW = sys.float_info.min           # d1mach(1)
 # dqage refuses pure relative control below this tolerance (its ier = 6)
 _MIN_REL_TOL = max(50.0 * _EPMACH, 0.5e-28)
+# dqage's limit: the most intervals one integration may bisect into
+_LIMIT = 2000
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for one adaptive integration.
+    """Tolerances of one adaptive integration, and its tail map's scale.
 
     abs_tol = 0 with rel_tol > 0 asks for pure relative control, which
     needs rel_tol >= 50 machine epsilons.  tail_scale sets the decay
     scale `c` of the tail map, used when the upper limit is infinite.
+    The subdivision budget is not part of the spec: it is dqage's fixed
+    limit of 2000 intervals.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 0.0
-    max_subdivisions: int = 2000
     tail_scale: float = 1.0
 
     def __post_init__(self):
@@ -68,9 +71,6 @@ class QuadratureSpec:
             raise ParameterError(
                 f"with abs_tol = 0, rel_tol must be >= {_MIN_REL_TOL:.3g}, "
                 f"got {self.rel_tol}")
-        if self.max_subdivisions < 10:
-            raise ParameterError(
-                f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
         if not (math.isfinite(self.tail_scale) and self.tail_scale > 0):
             raise ParameterError("tail_scale must be positive and finite")
 
@@ -129,7 +129,7 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     if hi < lo:
         lo, hi, sign = hi, lo, -1.0
     value, error, ier = _qage(target, lo, hi, spec.abs_tol, spec.rel_tol,
-                              spec.max_subdivisions)
+                              _LIMIT)
     return QuadResult(sign * value, error, ier == 0)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _checked_finite
 from .numerics import QuadratureSpec, integrate_adaptive
 
 __all__ = [
@@ -94,13 +94,6 @@ def _zeta_any(m: int) -> float:
 _SERIES_Z_MAX = 0.92
 
 
-def _check_theta(theta):
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
-    return theta
-
-
 def _check_moment(k):
     if not isinstance(k, int) or isinstance(k, bool) or k not in (2, 3, 4):
         raise DomainError(f"moment index must be 2, 3 or 4, got {k!r}")
@@ -158,7 +151,7 @@ def _zeta_minus_polylog(n: int, t: float) -> float:
 _I_SERIES_CUT = 0.6
 
 
-def beliaev_I_quadrature(theta: float, spec: QuadratureSpec | None = None) -> float:
+def beliaev_I_quadrature(theta: float) -> float:
     """I(theta) from its defining integral over the energy split variable.
 
     I(theta) = theta (1 - e^-theta) * integral over t in (-1, 1) of
@@ -166,11 +159,9 @@ def beliaev_I_quadrature(theta: float, spec: QuadratureSpec | None = None) -> fl
     The integrand endpoints are removable against the (1 - t^2)^2 factor
     and never get evaluated by the open quadrature rule.
     """
-    theta = _check_theta(theta)
+    theta = _checked_finite("theta", theta)
     if theta == 0.0:
         return 16.0 / 3.0
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 
     def f(t):
         da = -math.expm1(-theta * (1.0 + t) / 2.0)
@@ -178,7 +169,7 @@ def beliaev_I_quadrature(theta: float, spec: QuadratureSpec | None = None) -> fl
         u = 1.0 - t * t
         return u * u / (da * db)
 
-    res = integrate_adaptive(f, -1.0, 1.0, spec)
+    res = integrate_adaptive(f, -1.0, 1.0, QuadratureSpec(rel_tol=1e-12))
     return theta * (-math.expm1(-theta)) * res.value
 
 
@@ -199,7 +190,7 @@ def beliaev_I(theta: float) -> float:
     (0.3, 0.7); monotone increasing from 16/3 towards 16/15 theta, the
     bracket's 1/30 alone from theta = 1e7 on.
     """
-    theta = _check_theta(theta)
+    theta = _checked_finite("theta", theta)
     if theta < _I_SERIES_CUT:
         t2 = theta * theta
         return (16.0 / 3.0 + t2 * (4.0 / 45.0 + t2 * (-1.0 / 1890.0
@@ -228,7 +219,7 @@ def landau_Gk(k: int, theta: float) -> float:
     region keeps full relative accuracy.
     """
     _check_moment(k)
-    theta = _check_theta(theta)
+    theta = _checked_finite("theta", theta)
     if theta == 0.0:
         return 0.0
     n = k + 1
@@ -240,8 +231,7 @@ def landau_Gk(k: int, theta: float) -> float:
     return 2.0 * math.factorial(k) * diff
 
 
-def landau_Gk_quadrature(k: int, theta: float,
-                         spec: QuadratureSpec | None = None) -> float:
+def landau_Gk_quadrature(k: int, theta: float) -> float:
     """G_k(theta) from its defining integral with the sinh kernel.
 
     G_k = integral over t in (0, inf) of
@@ -250,12 +240,10 @@ def landau_Gk_quadrature(k: int, theta: float,
     ((1-e^-t)(1-e^-t-theta)).
     """
     _check_moment(k)
-    theta = _check_theta(theta)
+    theta = _checked_finite("theta", theta)
     if theta == 0.0:
         return 0.0
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0,
-                              tail_scale=float(k + 1))
+    spec = QuadratureSpec(rel_tol=1e-12, tail_scale=float(k + 1))
     pref = -math.expm1(-theta)
 
     def f(t):

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .bogoliubov import _coeffs, energy_point, first_branch
-from .errors import DomainError, SingularityError
+from .errors import SingularityError, _checked_finite
 from .params import GasParameters
 from .potential import PotentialModel
 
@@ -139,10 +139,8 @@ def regularized_F(params: GasParameters, model: PotentialModel,
     finite at a stationary top of the branch, where only the measure
     factor is singular; an energy above the top raises RangeError.
     """
-    omega, u, w = float(omega), float(u), float(w)
-    for name, val in (("omega", omega), ("u", u), ("w", w)):
-        if not math.isfinite(val) or val < 0:
-            raise DomainError(f"{name} must be finite and >= 0, got {val}")
+    omega, u, w = (_checked_finite(name, val) for name, val
+                   in (("omega", omega), ("u", u), ("w", w)))
     branch = first_branch(params, model, max(omega, u, w))
     return _vertex(energy_point(params, model, branch, omega),
                    energy_point(params, model, branch, u),
